@@ -2,11 +2,4 @@
 unpolarized Jacobians: family constructors, gluing, Igusa invariants,
 distinguishing analyses, and obstruction checks."""
 
-import sys as _sys
-
-# Resultants in the distinguishing pipeline reach millions of digits; the
-# default int<->str conversion cap would make serializing them fail.
-if hasattr(_sys, "set_int_max_str_digits"):
-    _sys.set_int_max_str_digits(20_000_000)
-
 __version__ = "1.0.0"

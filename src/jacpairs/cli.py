@@ -266,13 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="genus-2 curve pairs with isomorphic unpolarized Jacobians",
     )
     parser.add_argument("--output", choices=("json", "text"), default="json")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker count for independent checks (0 = auto); "
-        "checks are deterministic regardless",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fam = sub.add_parser("family", help="construct family curves")
@@ -345,6 +338,10 @@ def run(argv=None) -> int:
 
 
 def main():
+    # Resultants in the distinguishing pipeline reach millions of digits; the
+    # default int<->str conversion cap would make serializing them fail.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(20_000_000)
     sys.exit(run())
 
 

@@ -11,7 +11,7 @@ valid parameters over F_p or F_{p^2}.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
 from math import gcd as int_gcd
 
 from .exact.poly import (
@@ -21,13 +21,15 @@ from .exact.poly import (
     radical,
     rational_poly_to_primitive,
 )
-from .exact.rings import GF, GFext, ExtField
-from .exact.roots import field_order, irreducible_factors, roots
-from .families import FamilySpec, eval_poly, family_sextic
+from .exact.integers import trial_division
+from .exact.rings import GF, GFext
+from .exact.roots import irreducible_factors, roots
+from .families import FamilySpec, _scalar_in, eval_poly, family_sextic
 from .igusa.invariants import (
     geometric_isomorphism_test,
     igusa_vector,
     j_polynomials_of_sextic_family,
+    r_numerators,
     r_polynomials,
     weighted_equal,
 )
@@ -35,31 +37,6 @@ from .kernels import resultant_int_crt
 
 _BASE_TRIPLE = ("R2", "R3", "R5")
 _FALLBACK_TRIPLE = ("R23", "R35", "R25")
-
-
-def _bounded_factorization(n: int, bound: int = 2_000_000):
-    """Trial-division factorization by all primes below ``bound``; returns
-    ({prime: exponent}, cofactor).  Complete when the cofactor is 1."""
-    n = abs(n)
-    factors = {}
-    if n == 0:
-        return factors, 0
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    q = 5
-    step = 2
-    while q < bound:
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                e += 1
-                n //= q
-            factors[q] = e
-        q += step
-        step = 6 - step
-    return factors, n
 
 
 def prime_support(spec: FamilySpec) -> dict:
@@ -76,7 +53,7 @@ def prime_support(spec: FamilySpec) -> dict:
     res23 = resultant_int_crt(prim["R2"], prim["R3"])
     res25 = resultant_int_crt(prim["R2"], prim["R5"])
     g = int_gcd(res23, res25)
-    factors, cofactor = _bounded_factorization(g)
+    factors, cofactor = trial_division(g, 2_000_000)
     support = sorted(factors)
     return {
         "family": spec.id,
@@ -95,35 +72,6 @@ def prime_support(spec: FamilySpec) -> dict:
 # ---------------------------------------------------------------------------
 # characteristic-p analysis
 # ---------------------------------------------------------------------------
-
-
-def _reduce_q_poly(poly, F):
-    """Q[t] -> F_p[t]; denominators of the coefficients must be prime to p."""
-    def red(c):
-        c = Fraction(c)
-        if c.denominator % F.p == 0:
-            raise ZeroDivisionError("coefficient denominator divisible by p")
-        return F.div(F.from_int(c.numerator), F.from_int(c.denominator))
-
-    return poly.map_coeffs(F, red)
-
-
-def _reduce_z_poly(poly, F):
-    return poly.map_coeffs(F, lambda c: F.from_int(int(c)))
-
-
-def _numerators_mod_p(spec, F):
-    js = j_polynomials_of_sextic_family(spec.sextic_zt())
-    jp = {k: _reduce_q_poly(p, F) for k, p in zip((1, 2, 3, 4, 5), js)}
-    jn = {k: p.substitute_neg() for k, p in jp.items()}
-    return jp, {
-        "R2": jp[2] * jn[1] ** 2 - jn[2] * jp[1] ** 2,
-        "R3": jp[3] * jn[1] ** 3 - jn[3] * jp[1] ** 3,
-        "R5": jp[5] * jn[1] ** 5 - jn[5] * jp[1] ** 5,
-        "R23": jp[2] ** 3 * jn[3] ** 2 - jn[2] ** 3 * jp[3] ** 2,
-        "R35": jp[3] ** 5 * jn[5] ** 3 - jn[3] ** 5 * jp[5] ** 3,
-        "R25": jp[5] ** 2 * jn[2] ** 5 - jn[5] ** 2 * jp[2] ** 5,
-    }
 
 
 def _strip_factors(num, factor_polys):
@@ -149,7 +97,7 @@ def _strip_base(spec, F):
     polys = list(spec.r_denominators.values()) or [spec.validity_t]
     seen = []
     for poly in polys:
-        red = _reduce_z_poly(poly, F)
+        red = poly.map_coeffs(F, partial(_scalar_in, F))
         if red.is_zero():
             continue
         for fac, _ in irreducible_factors(red)[1]:
@@ -165,9 +113,13 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     containing them; the two curves there are checked to be geometrically
     isomorphic to each other and to the recorded representative)."""
     F = GF(p)
-    jp, numerators = _numerators_mod_p(spec, F)
+    js = [
+        j.map_coeffs(F, partial(_scalar_in, F))
+        for j in j_polynomials_of_sextic_family(spec.sextic_zt())
+    ]
+    numerators = r_numerators(js)
     triple = _BASE_TRIPLE
-    j2_gcd = gcd_field(jp[1], jp[1].substitute_neg())
+    j2_gcd = gcd_field(js[0], js[0].substitute_neg())
     if j2_gcd.degree > 0 and all(k in spec.r_denominators for k in _FALLBACK_TRIPLE):
         triple = _FALLBACK_TRIPLE
 
@@ -193,7 +145,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     expected = Poly.one(F)
     if exc is not None:
         for fac in exc.locus_factors:
-            expected = expected * _reduce_z_poly(fac, F).monic()
+            expected = expected * fac.map_coeffs(F, partial(_scalar_in, F)).monic()
     locus_match = locus == expected
 
     verification = []
@@ -229,7 +181,7 @@ def _verify_locus_factor(spec, F, fac, exc):
     ok = len(rts) == d
     rep = None
     if exc.representative is not None:
-        rep = _reduce_z_poly(exc.representative, K)
+        rep = exc.representative.map_coeffs(K, partial(_scalar_in, K))
     for t0 in rts:
         validity = K.mul(
             eval_poly(spec.validity_t, K, t0),
@@ -269,14 +221,14 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     locus_roots = set()
     if exc is not None:
         for fac in exc.locus_factors:
-            red = fac.map_coeffs(K, lambda c: K.from_int(int(c)))
+            red = fac.map_coeffs(K, partial(_scalar_in, K))
             for r in roots(red):
                 locus_roots.add(_key(K, r))
 
     equal_geometric = []
     equal_base = []
     seen = set()
-    for t in _all_elements(K):
+    for t in K.elements():
         if K.is_zero(t):
             continue
         kt = _key(K, t)
@@ -308,7 +260,7 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     return {
         "family": spec.id,
         "p": p,
-        "field_order": field_order(K),
+        "field_order": K.order,
         "scanned": len(seen),
         "equal_geometric": sorted(geom),
         "equal_base": sorted(set(equal_base)),
@@ -319,18 +271,6 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
 
 def _key(K, a):
     return K.to_str(a)
-
-
-def _all_elements(K):
-    p = K.p
-    if isinstance(K, ExtField):
-        from itertools import product
-
-        for coeffs in product(range(p), repeat=K.m):
-            yield tuple(coeffs)
-    else:
-        for a in range(p):
-            yield K.from_int(a)
 
 
 __all__ = ["prime_support", "charp_analysis", "full_scan"]

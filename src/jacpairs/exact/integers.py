@@ -62,16 +62,18 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"pollard rho failed to split {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Full factorization of |n| as {prime: exponent}.
+def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Trial division of |n| by the integers below ``bound``; returns
+    ({prime: exponent}, cofactor).
 
-    Trial division up to 10**6, then Pollard rho with deterministic
-    Miller-Rabin on the cofactors.
+    Stops once d*d > n.  What is left then is 1 or a prime; a prime below
+    the bound counts as a factor, one at or above it stays the cofactor.
+    The factorization is complete when the cofactor is 1.
     """
-    if n == 0:
-        raise ValueError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
+    if n == 0:
+        return out, 0
     for p in (2, 3, 5):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -80,12 +82,26 @@ def factorize(n: int) -> dict[int, int]:
     # wheel over 2,3,5 residues
     incr = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d <= _TRIAL_BOUND and d * d <= n:
+    while d < bound and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += incr[i]
         i = (i + 1) % 8
+    if 1 < n < bound:
+        out[n], n = 1, 1
+    return out, n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Full factorization of |n| as {prime: exponent}.
+
+    Trial division up to 10**6, then Pollard rho with deterministic
+    Miller-Rabin on the cofactors.
+    """
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    out, n = trial_division(n, _TRIAL_BOUND)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

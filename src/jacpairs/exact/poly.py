@@ -378,6 +378,8 @@ def pseudo_rem(a: Poly, b: Poly):
 
 def gcd_field(a: Poly, b: Poly) -> Poly:
     """Monic gcd over a field."""
+    if not a.ring.is_field:
+        raise TypeError("gcd_field requires field coefficients")
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     while not b.is_zero():
@@ -546,16 +548,6 @@ def resultant_sylvester(a: Poly, b: Poly):
         prev = M[k][k]
     det = M[size - 1][size - 1]
     return R.neg(det) if sign < 0 else det
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field."""
-    R = a.ring
-    if not R.is_field:
-        raise TypeError("poly_gcd requires field coefficients")
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd undefined: both inputs zero")
-    return gcd_field(a, b)
 
 
 def discriminant(f: Poly):

@@ -101,6 +101,9 @@ class RationalField:
     def is_one(self, a):
         return a == 1
 
+    def pow(self, a, n):
+        return Fraction(a) ** n
+
     def is_square(self, a):
         a = Fraction(a)
         return a >= 0 and is_perfect_square(a.numerator) and is_perfect_square(a.denominator)
@@ -266,36 +269,18 @@ def _tuple_powmod(a, n, modulus, p):
     return result
 
 
-def _list_poly_gcd_modp(a, b, p):
-    """Degree of gcd of two coefficient lists over F_p (index = degree)."""
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim([c % p for c in a]), trim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        for i in range(len(r) - len(b), -1, -1):
-            c = r[i + len(b) - 1] * inv % p
-            if c:
-                for j, bj in enumerate(b):
-                    r[i + j] = (r[i + j] - c * bj) % p
-        a, b = b, trim(r[: len(b) - 1])
-    return len(a) - 1
-
-
 def _is_irreducible(coeffs, p):
     """Irreducibility of a monic polynomial (coefficient tuple, low-to-high)
     over F_p, by Rabin's criterion: x^(p^m) == x mod f, and for every prime
     q dividing m, gcd(x^(p^(m/q)) - x, f) = 1.  (The weaker check
     x^(p^(m/q)) != x mod f admits reducible inputs whose factor degrees
     divide m but not m/q, e.g. degrees {1,2,3} for m = 6.)"""
+    from .poly import Poly, gcd_field  # poly imports this module
+
     m = len(coeffs) - 1
     if m == 1:
         return True
+    F = GF(p)
     x = (0, 1) + (0,) * (m - 2)
     xq = x
     for _ in range(m):
@@ -308,7 +293,7 @@ def _is_irreducible(coeffs, p):
             xq = _tuple_powmod(xq, p, coeffs, p)
         diff = list(xq)
         diff[1] = (diff[1] - 1) % p
-        if _list_poly_gcd_modp(list(coeffs), diff, p) > 0:
+        if gcd_field(Poly(F, coeffs), Poly(F, diff)).degree > 0:
             return False
     return True
 

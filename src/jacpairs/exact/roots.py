@@ -12,16 +12,7 @@ from .poly import (
     gcd_field,
     squarefree_decomposition,
 )
-from .rings import ExtField, GFext, PrimeField
-
-
-def field_order(K) -> int:
-    """Number of elements of a finite field ring object."""
-    if isinstance(K, PrimeField):
-        return K.p
-    if isinstance(K, ExtField):
-        return K.p ** K.m
-    raise TypeError(f"not a finite field: {K!r}")
+from .rings import GFext, PrimeField
 
 
 def element_sort_key(K, a):
@@ -54,7 +45,7 @@ def distinct_degree_factorization(f: Poly):
     product of all irreducible factors of degree ``d``, ordered by ``d``.
     """
     K = f.ring
-    q = field_order(K)
+    q = K.order
     f = f.monic()
     out = []
     x = Poly.gen(K)
@@ -122,7 +113,7 @@ def equal_degree_factorization(f: Poly, d: int):
     polynomials are drawn from a fixed enumeration.
     """
     K = f.ring
-    q = field_order(K)
+    q = K.order
     if q % 2 == 0:
         raise NotImplementedError("even field order is not supported")
     if f.degree == d:
@@ -188,7 +179,7 @@ def roots(f: Poly):
         raise ValueError("roots of the zero polynomial")
     if f.degree == 0:
         return []
-    q = field_order(K)
+    q = K.order
     x = Poly.gen(K)
     g = gcd_field(powmod(x, q, f) - x, f).monic()
     out = []
@@ -230,13 +221,3 @@ def roots_in_splitting_field(f: Poly):
     K = GFext(F.p, m)
     lifted = f.map_coeffs(K, K.from_base)
     return K, roots(lifted)
-
-
-def frobenius_orbit(K, a):
-    """Orbit of ``a`` under x -> x^p in an extension field, in orbit order."""
-    orbit = [a]
-    b = K.frobenius(a)
-    while b != a:
-        orbit.append(b)
-        b = K.frobenius(b)
-    return orbit

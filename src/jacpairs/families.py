@@ -18,7 +18,6 @@ from .ellcurve import WeierstrassModel, curve_discriminant, j_invariant
 from .exact.poly import Poly, PolyRing, discriminant
 from .exact.ratfunc import FunctionField, RationalFunction
 from .exact.rings import QQ, ZZ
-from .igusa.invariants import _is_square_in_field
 
 # generators used throughout the data below
 _S = Poly.gen(QQ)  # s, coefficient parameter of the isogeny families
@@ -30,7 +29,7 @@ _FT = FunctionField(QQ, "t")
 _FS = FunctionField(QQ, "s")
 
 
-def _half(c: int) -> Fraction:
+def _quarter(c: int) -> Fraction:
     return Fraction(c, 4)
 
 
@@ -422,7 +421,7 @@ def _build_howe2() -> FamilySpec:
 
 def _build_deg3() -> FamilySpec:
     s, t = _S, _T
-    a2 = _half(1) * (s**2 + 18 * s - 27)
+    a2 = _quarter(1) * (s**2 + 18 * s - 27)
     sext = _xpoly(
         -16 * t,
         0,
@@ -596,7 +595,7 @@ def _build_deg4() -> FamilySpec:
 def _build_deg7() -> FamilySpec:
     s, t = _S, _T
     quart = s**4 + 14 * s**3 + 63 * s**2 + 70 * s - 7
-    a2 = _half(1) * quart
+    a2 = _quarter(1) * quart
     bq = -(
         5 * s**7
         + 165 * s**6
@@ -921,5 +920,5 @@ def galois_restriction_check(spec: FamilySpec, field, s_value) -> bool:
     if field.is_zero(d1) or field.is_zero(d2):
         raise ValueError("discriminant vanishes at this parameter")
     if spec.parity == "odd":
-        return _is_square_in_field(field, d1)
-    return _is_square_in_field(field, field.mul(d1, d2))
+        return field.is_square(d1)
+    return field.is_square(field.mul(d1, d2))

@@ -353,10 +353,7 @@ def b_of(perm, rts_g):
 def _in_base(K, F, v):
     if K is F:
         return v
-    try:
-        return K.in_base(v)
-    except Exception:
-        return None
+    return K.in_base(v)
 
 
 __all__ = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from ..exact.poly import Poly, discriminant
 from ..exact.rings import QQ, ZZ, ExtField, GFext, PrimeField
@@ -221,9 +222,7 @@ def igusa_vector(f: Poly):
 
 def _tenth_power_in_field(R, c):
     if isinstance(R, PrimeField) or isinstance(R, ExtField):
-        q = R.p if isinstance(R, PrimeField) else R.p**R.m
-        from math import gcd
-
+        q = R.order
         d = gcd(10, q - 1)
         return R.pow(c, (q - 1) // d) == R.one
     if R is QQ:
@@ -237,27 +236,20 @@ def _tenth_power_in_field(R, c):
     raise TypeError(f"unsupported field {R!r}")
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, by Newton's method on integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_perfect_power(n: int, k: int) -> bool:
-    if n < 0:
-        return False
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return True
-    return False
-
-
-def _is_square_in_field(R, c):
-    if hasattr(R, "is_square"):
-        return R.is_square(c)
-    if R is QQ:
-        fr = Fraction(c)
-        if fr < 0:
-            return False
-        from ..exact.integers import is_perfect_square
-
-        return is_perfect_square(fr.numerator) and is_perfect_square(fr.denominator)
-    raise TypeError(f"unsupported field {R!r}")
+    return n >= 0 and _integer_root(n, k) ** k == n
 
 
 def weighted_equal(u, v, R, geometric: bool = False) -> bool:
@@ -278,56 +270,18 @@ def weighted_equal(u, v, R, geometric: bool = False) -> bool:
         if geometric:
             return True
         return _tenth_power_in_field(R, ratios[5])
-    # gcd(S) = 1: eps is unique.  Find x_k with sum x_k * k = 1 over k in S
-    # and set eps = prod ratios[k]^{x_k}.
-    eps = _bezout_combination(R, ratios, S)
+    # gcd(S) = 1: eps is unique.  With k the smallest weight in S (k < 5),
+    # x = k^-1 mod 5 and y = (1 - x k) / 5 give x k + 5 y = 1, so
+    # eps = c_k^x * c_5^y.
+    k = S[0]
+    x = pow(k, -1, 5)
+    eps = R.mul(R.pow(ratios[k], x), R.pow(ratios[5], (1 - x * k) // 5))
     for k in S:
-        if _pow(R, eps, k) != ratios[k]:
+        if R.pow(eps, k) != ratios[k]:
             return False
     if geometric:
         return True
-    return _is_square_in_field(R, eps)
-
-
-def _pow(R, a, n):
-    r = R.one
-    for _ in range(n):
-        r = R.mul(r, a)
-    return r
-
-
-def _bezout_combination(R, ratios, S):
-    from math import gcd
-
-    # build integer combination sum x_k k = 1 greedily via extended gcd
-    ks = list(S)
-    g = ks[0]
-    coeffs = {ks[0]: 1}
-    for k in ks[1:]:
-        if g == 1:
-            break
-        gg, x, y = _ext_gcd(g, k)
-        coeffs = {kk: cc * x for kk, cc in coeffs.items()}
-        coeffs[k] = coeffs.get(k, 0) + y
-        g = gg
-    assert g == 1
-    eps = R.one
-    for k, x in coeffs.items():
-        if x == 0:
-            continue
-        base = ratios[k]
-        if x < 0:
-            base = R.inv(base)
-            x = -x
-        eps = R.mul(eps, _pow(R, base, x))
-    return eps
-
-
-def _ext_gcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+    return R.is_square(eps)
 
 
 def geometric_isomorphism_test(f: Poly, g: Poly) -> bool:
@@ -379,17 +333,12 @@ def j_polynomials_of_sextic_family(sextic_zt) -> tuple:
     return tuple(out)
 
 
-def r_polynomials(spec) -> dict:
-    """The weighted difference polynomials R2, R3, R5 (and, when the family
-    supplies denominators for them, the generalized R23, R35, R25) of a
-    one-parameter family: each printed denominator must divide its numerator
-    exactly in Q[t], else an error is raised."""
-    sextic = spec.sextic_zt()
-    j2, j4, j6, j8, j10 = j_polynomials_of_sextic_family(sextic)
-    jn = {k: p.substitute_neg() for k, p in zip((1, 2, 3, 4, 5), (j2, j4, j6, j8, j10))}
-    jp = {1: j2, 2: j4, 3: j6, 4: j8, 5: j10}
-
-    numerators = {
+def r_numerators(js) -> dict:
+    """Numerators of the weighted differences R2, R3, R5, R23, R35, R25 from
+    the polynomials (J2, J4, J6, J8, J10) in t, over any coefficient field."""
+    jp = dict(zip((1, 2, 3, 4, 5), js))
+    jn = {k: p.substitute_neg() for k, p in jp.items()}
+    return {
         "R2": jp[2] * jn[1] ** 2 - jn[2] * jp[1] ** 2,
         "R3": jp[3] * jn[1] ** 3 - jn[3] * jp[1] ** 3,
         "R5": jp[5] * jn[1] ** 5 - jn[5] * jp[1] ** 5,
@@ -397,6 +346,14 @@ def r_polynomials(spec) -> dict:
         "R35": jp[3] ** 5 * jn[5] ** 3 - jn[3] ** 5 * jp[5] ** 3,
         "R25": jp[5] ** 2 * jn[2] ** 5 - jn[5] ** 2 * jp[2] ** 5,
     }
+
+
+def r_polynomials(spec) -> dict:
+    """The weighted difference polynomials R2, R3, R5 (and, when the family
+    supplies denominators for them, the generalized R23, R35, R25) of a
+    one-parameter family: each printed denominator must divide its numerator
+    exactly in Q[t], else an error is raised."""
+    numerators = r_numerators(j_polynomials_of_sextic_family(spec.sextic_zt()))
     out = {}
     for name, den in spec.r_denominators.items():
         num = numerators[name]

@@ -1,43 +1,40 @@
-"""Fast modular resultant kernels with a compiled and a fallback path.
+"""Modular resultant kernel and the CRT integer resultant built on it.
 
-The hot loop — Euclidean resultant of two dense polynomials over F_p with
-p < 2**31 — is compiled with numba when available.  Setting the environment
-variable ``JACPAIRS_PURE_PYTHON=1`` (or running without numba installed)
-selects the numpy/pure-Python fallback, which computes identical values.
-
-On top of the modular kernel, ``resultant_int_crt`` evaluates integer
-resultants by Chinese remaindering over 30-bit primes up to the Hadamard
-bound; this is how very large integer resultants stay feasible.
+The hot loop is the Euclidean resultant of two dense polynomials over F_p
+with p < 2**31, run on plain coefficient lists.  On top of it,
+``resultant_int_crt`` evaluates integer resultants by Chinese remaindering
+over 30-bit primes up to the Hadamard bound; this is how very large integer
+resultants stay feasible.
 """
 from __future__ import annotations
 
 import math
-import os
-
-import numpy as np
 
 from .exact.poly import Poly
 from .exact.rings import ZZ
 
-_USE_NUMBA = os.environ.get("JACPAIRS_PURE_PYTHON", "") not in ("1", "true", "yes")
 
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is normally installed
-        _USE_NUMBA = False
+def kernel_backend() -> str:
+    """The resultant kernel in use.  There is only the pure-Python one; the
+    name stays because benchmark records report it next to their timings."""
+    return "python"
 
 
-def _resultant_mod_p_py(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    """Euclidean resultant of dense coefficient arrays (index = degree) mod p.
-
-    Reference implementation; also the fallback path.  Arrays are int64,
-    leading entries nonzero, p an odd prime below 2**31.
-    """
-    a = [int(c) % p for c in a]
-    b = [int(c) % p for c in b]
+def resultant_mod_p(a_coeffs, b_coeffs, p: int) -> int:
+    """Resultant of two nonzero polynomials over F_p, given as dense
+    coefficient sequences with index = degree; p an odd prime < 2**31."""
+    if not (2 < p < 2**31):
+        raise ValueError("prime out of kernel range")
+    a = [int(c) % p for c in a_coeffs]
+    b = [int(c) % p for c in b_coeffs]
+    if not a or not b or a[-1] == 0 or b[-1] == 0:
+        raise ValueError("inputs must be dense with nonzero leading entry")
     da = len(a) - 1
     db = len(b) - 1
+    if da == 0:
+        return pow(a[0], db, p)
+    if db == 0:
+        return pow(b[0], da, p)
     res = 1
     sign = 1
     if da < db:
@@ -64,88 +61,8 @@ def _resultant_mod_p_py(a: np.ndarray, b: np.ndarray, p: int) -> int:
             sign = -sign
         a, da = b, db
         b, db = r[: dr + 1], dr
-    if b[0] == 0:
-        return 0
     res = res * pow(b[0], da, p) % p
     return (p - res) % p if sign < 0 else res
-
-
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _powmod(base, exp, p):  # pragma: no cover - compiled
-        result = np.int64(1)
-        base = base % p
-        while exp > 0:
-            if exp & 1:
-                result = result * base % p
-            base = base * base % p
-            exp >>= 1
-        return result
-
-    @njit(cache=True)
-    def _resultant_mod_p_jit(a, b, p):  # pragma: no cover - compiled
-        da = a.shape[0] - 1
-        db = b.shape[0] - 1
-        res = np.int64(1)
-        sign = 1
-        if da < db:
-            a, b = b, a
-            da, db = db, da
-            if (da % 2) == 1 and (db % 2) == 1:
-                sign = -sign
-        a = a.copy() % p
-        b = b.copy() % p
-        while db > 0:
-            inv = _powmod(b[db], p - 2, p)
-            r = a.copy()
-            for i in range(da, db - 1, -1):
-                coef = r[i] * inv % p
-                if coef != 0:
-                    off = i - db
-                    for j in range(db + 1):
-                        r[off + j] = (r[off + j] - coef * b[j]) % p
-            dr = db - 1
-            while dr >= 0 and r[dr] == 0:
-                dr -= 1
-            if dr < 0:
-                return np.int64(0)
-            res = res * _powmod(b[db], da - dr, p) % p
-            if (da % 2) == 1 and (db % 2) == 1:
-                sign = -sign
-            a = b
-            da = db
-            b = r[: dr + 1]
-            db = dr
-        if b[0] == 0:
-            return np.int64(0)
-        res = res * _powmod(b[0], da, p) % p
-        if sign < 0:
-            return (p - res) % p
-        return res
-
-
-def kernel_backend() -> str:
-    """Which resultant kernel is active: "numba" or "python"."""
-    return "numba" if _USE_NUMBA else "python"
-
-
-def resultant_mod_p(a_coeffs, b_coeffs, p: int) -> int:
-    """Resultant of two nonzero polynomials over F_p, given as dense
-    coefficient sequences with index = degree; p an odd prime < 2**31."""
-    if not (2 < p < 2**31):
-        raise ValueError("prime out of kernel range")
-    a = np.asarray([int(c) % p for c in a_coeffs], dtype=np.int64)
-    b = np.asarray([int(c) % p for c in b_coeffs], dtype=np.int64)
-    if a.shape[0] == 0 or b.shape[0] == 0 or a[-1] == 0 or b[-1] == 0:
-        raise ValueError("inputs must be dense with nonzero leading entry")
-    if a.shape[0] == 1:
-        return int(pow(int(a[0]), b.shape[0] - 1, p))
-    if b.shape[0] == 1:
-        return int(pow(int(b[0]), a.shape[0] - 1, p))
-    if _USE_NUMBA:
-        return int(_resultant_mod_p_jit(a, b, p))
-    return _resultant_mod_p_py(a, b, p)
 
 
 def _hadamard_bound(a: Poly, b: Poly) -> int:

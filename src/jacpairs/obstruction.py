@@ -19,6 +19,7 @@ from .exact.poly import (
     Poly,
     PolyRing,
     divmod_field,
+    gcd_field,
     rational_poly_to_primitive,
     squarefree_decomposition,
 )
@@ -177,7 +178,7 @@ def square_condition_consistency(n: int) -> dict:
     if rec.parity == "even":
         poly2, c2 = shifted_mod_squares(jp)
         prod = poly1 * poly2
-        g = _poly_gcd_q(poly1, poly2)
+        g = gcd_field(poly1, poly2)
         derived = divmod_field(prod, g * g)[0].monic()
         constant = c1 * c2
     else:
@@ -193,7 +194,7 @@ def square_condition_consistency(n: int) -> dict:
         pn, pd = rec.delta_prime
         dp_poly, dp_c = _mod_squares_of_rational(pn, pd)
         prod = delta_poly * dp_poly
-        g = _poly_gcd_q(delta_poly, dp_poly)
+        g = gcd_field(delta_poly, dp_poly)
         delta_poly = divmod_field(prod, g * g)[0].monic()
         delta_c *= dp_c
     delta_matches_curve = delta_poly == curve_q
@@ -212,12 +213,6 @@ def square_condition_consistency(n: int) -> dict:
         "pass": derived_matches_curve
         and (delta_matches_curve or x_delta_matches_curve),
     }
-
-
-def _poly_gcd_q(a, b):
-    from .exact.poly import gcd_field
-
-    return gcd_field(a, b)
 
 
 # ---------------------------------------------------------------------------

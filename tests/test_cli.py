@@ -1,9 +1,16 @@
 """CLI surface tests: grammar, JSON schemas, exit codes."""
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from jacpairs.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_json(capsys, argv):
@@ -51,6 +58,17 @@ class TestIgusa:
         )
         assert code == 0
         assert set(payload) == {"J2", "J4", "J6", "J8", "J10", "field"}
+
+    def test_readme_example(self, capsys):
+        # the README's invariants example, exactly as printed there
+        line = next(
+            ln
+            for ln in (ROOT / "README.md").read_text().splitlines()
+            if ln.startswith("jacpairs igusa invariants ")
+        )
+        code, payload = _run_json(capsys, shlex.split(line)[1:])
+        assert code == 0
+        assert payload["field"] == {"type": "Fp", "p": "101"}
 
     def test_equal_self(self, capsys):
         code, payload = _run_json(
@@ -119,3 +137,21 @@ class TestUsage:
         assert code == 0
         out = capsys.readouterr().out
         assert "560" in out
+
+
+def test_import_keeps_int_str_limit():
+    # importing the package must not change interpreter-wide state; only the
+    # command-line entry point raises the int<->str conversion limit
+    code = (
+        "import sys; before = sys.get_int_max_str_digits(); "
+        "import jacpairs, jacpairs.distinct; "
+        "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

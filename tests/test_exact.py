@@ -9,6 +9,7 @@ from jacpairs.exact.integers import (
     is_perfect_square,
     is_prime,
     squarefree_part,
+    trial_division,
 )
 from jacpairs.exact.poly import (
     Poly,
@@ -56,6 +57,19 @@ class TestIntegers:
                 assert is_prime(p)
                 prod *= p**e
             assert prod == n
+
+    def test_trial_division(self):
+        # fully factored: stops early, cofactor 1
+        assert trial_division(2**5 * 7 * 571603, 10**6) == ({2: 5, 7: 1, 571603: 1}, 1)
+        # a prime left over below the bound counts as a factor
+        assert trial_division(3 * 999983, 10**6) == ({3: 1, 999983: 1}, 1)
+        # a prime at or above the bound stays the cofactor
+        assert trial_division(4 * 1000003, 10**6) == ({2: 2}, 1000003)
+        # an unfactored composite above the bound stays the cofactor
+        big = 1000003 * 1000033
+        assert trial_division(-6 * big, 10**6) == ({2: 1, 3: 1}, big)
+        assert trial_division(0, 10) == ({}, 0)
+        assert factorize(6 * big) == {2: 1, 3: 1, 1000003: 1, 1000033: 1}
 
     def test_squarefree_part(self):
         assert squarefree_part(4 * 9 * 5) == 5

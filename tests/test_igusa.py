@@ -180,3 +180,13 @@ class TestRationalField:
         assert u[4] != 0
         v = igusa_vector(f.scale(Fraction(4)))
         assert weighted_equal(u, v, QQ)
+
+    def test_only_j10_tenth_power_is_exact(self):
+        # only J10 nonzero: base-field equality asks whether the ratio is a
+        # 10th power in Q, which a float root gets wrong for large values
+        u = (0, 0, 0, 0, 1)
+        assert weighted_equal(u, (0, 0, 0, 0, (10**30 + 7) ** 10), QQ)
+        assert not weighted_equal(u, (0, 0, 0, 0, (10**30 + 7) ** 10 + 1), QQ)
+        assert weighted_equal(u, (0, 0, 0, 0, Fraction(1, 3**10)), QQ)
+        assert weighted_equal(u, (0, 0, 0, 0, 10**400), QQ)
+        assert not weighted_equal(u, (0, 0, 0, 0, 2 * 10**400), QQ)
