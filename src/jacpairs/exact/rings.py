@@ -298,14 +298,29 @@ def _is_irreducible(coeffs, p):
     return True
 
 
+def _has_irreducible_binomial(p: int, m: int) -> bool:
+    """Whether some x^m + c is irreducible over F_p (m >= 2): iff every
+    prime factor of m divides p - 1, and p = 1 mod 4 when 4 | m
+    (Lidl-Niederreiter, Finite Fields, Thm 3.75, with c = -a for a
+    primitive root a)."""
+    if m % 4 == 0 and p % 4 != 1:
+        return False
+    return all((p - 1) % q == 0 for q in (2, 3, 5) if m % q == 0)
+
+
 @lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> tuple:
     """Smallest monic irreducible of degree m over F_p, lexicographic on
     (c_0, c_1, ..., c_{m-1}) read as digits with c_0 least significant.
-    Deterministic so that every run builds the same F_{p^m}."""
+    Deterministic so that every run builds the same F_{p^m}.
+
+    The first p candidates are the binomials x^m + c.  When none of them
+    can be irreducible (`_has_irreducible_binomial`), the walk starts at
+    x^m + x instead: the result is the same, without ~p Rabin tests."""
     if m == 1:
         return (0, 1)
-    for n in range(p**m):
+    start = 0 if _has_irreducible_binomial(p, m) else p
+    for n in range(start, p**m):
         digits = []
         k = n
         for _ in range(m):
@@ -336,11 +351,14 @@ class ExtField:
         self.degree = m
         self.char = p
         self.order = p**m
-        self.modulus = tuple(modulus) if modulus is not None else _default_modulus(p, m)
-        if len(self.modulus) != m + 1 or self.modulus[m] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not _is_irreducible(self.modulus, p):
-            raise ValueError("modulus is reducible")
+        if modulus is None:
+            self.modulus = _default_modulus(p, m)
+        else:
+            self.modulus = tuple(modulus)
+            if len(self.modulus) != m + 1 or self.modulus[m] != 1:
+                raise ValueError("modulus must be monic of degree m")
+            if not _is_irreducible(self.modulus, p):
+                raise ValueError("modulus is reducible")
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
         self.gen = (0, 1) + (0,) * (m - 2) if m > 1 else (1,)

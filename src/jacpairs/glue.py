@@ -41,6 +41,11 @@ class DegenerateConfigurationError(GlueError):
     """a2 or b2 vanished, which cannot happen for a valid gluing input."""
 
 
+class NonDescendingCurve(GlueError):
+    """The sextic glued from a Frobenius-equivariant pairing has a
+    coefficient outside the base field."""
+
+
 @dataclass(frozen=True)
 class GlueInput:
     f: Poly
@@ -266,7 +271,10 @@ def _frobenius_perm(K, rts):
 def _descend_poly(K, F, h):
     if K is F:
         return h
-    return h.map_coeffs(F, K.in_base)
+    coeffs = [K.in_base(c) for c in h.coeffs]
+    if None in coeffs:
+        raise NonDescendingCurve("glued sextic is not defined over the base field")
+    return Poly(F, coeffs)
 
 
 def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
@@ -315,12 +323,12 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
             res = glue_p10(
                 GlueInput(cf, cg, tuple(rts_f), tuple(b_of(perm, rts_g)))
             )
+            # descent: equivariant pairing must give h over the base field
+            h_base = _descend_poly(K, F, res.h)
         except GlueError as exc:
             entry["error"] = type(exc).__name__
             diagnostics.append(entry)
             continue
-        # descent: equivariant pairing must give h over the base field
-        h_base = _descend_poly(K, F, res.h)
         entry["A_in_base"] = _in_base(K, F, res.A) is not None
         entry["B_in_base"] = _in_base(K, F, res.B) is not None
         vec = igusa_vector(h_base)
@@ -362,6 +370,7 @@ __all__ = [
     "GlueError",
     "IsomorphismRestrictionError",
     "DegenerateConfigurationError",
+    "NonDescendingCurve",
     "TorsionGraph",
     "NOT_A_GRAPH",
     "admissible_graphs",

@@ -21,7 +21,8 @@ from jacpairs.exact.poly import (
     resultant_sylvester,
     squarefree_decomposition,
 )
-from jacpairs.exact.rings import GF, QQ, ZZ, GFext
+from jacpairs.exact import rings
+from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext
 from jacpairs.exact.roots import (
     irreducible_factors,
     roots,
@@ -119,6 +120,70 @@ class TestRings:
         for _ in range(3):
             b = K.frobenius(b)
         assert b == a
+
+
+def _full_walk_modulus(p, m):
+    """The modulus search without the binomial skip: the first monic
+    irreducible of degree m in lexicographic order, c_0 least significant."""
+    for n in range(p**m):
+        digits = []
+        k = n
+        for _ in range(m):
+            digits.append(k % p)
+            k //= p
+        cand = tuple(digits) + (1,)
+        if cand[0] != 0 and rings._is_irreducible(cand, p):
+            return cand
+
+
+SMALL_PRIMES = [p for p in range(7, 200) if is_prime(p)]
+
+
+class TestModulusSearch:
+    def test_matches_full_walk(self):
+        for p in SMALL_PRIMES:
+            for m in range(2, 7):
+                assert rings._default_modulus(p, m) == _full_walk_modulus(p, m), (p, m)
+
+    def test_binomial_criterion(self):
+        for p in SMALL_PRIMES:
+            for m in range(2, 7):
+                exists = any(
+                    rings._is_irreducible((c,) + (0,) * (m - 1) + (1,), p)
+                    for c in range(1, p)
+                )
+                assert rings._has_irreducible_binomial(p, m) == exists, (p, m)
+
+    @pytest.mark.parametrize(
+        "p,m,modulus",
+        [
+            (522719, 3, (1, 1, 0, 1)),
+            (961397, 3, (1, 1, 0, 1)),
+            (961397, 6, (2, 1, 0, 0, 0, 0, 1)),
+        ],
+    )
+    def test_large_primes_few_rabin_tests(self, monkeypatch, p, m, modulus):
+        calls = []
+        is_irreducible = rings._is_irreducible
+
+        def counting(coeffs, q):
+            calls.append(coeffs)
+            return is_irreducible(coeffs, q)
+
+        monkeypatch.setattr(rings, "_is_irreducible", counting)
+        rings._default_modulus.cache_clear()
+        try:
+            assert rings._default_modulus(p, m) == modulus
+        finally:
+            rings._default_modulus.cache_clear()
+        assert 1 <= len(calls) <= 64
+
+    def test_supplied_modulus_is_checked(self):
+        assert ExtField(7, 2, modulus=(1, 0, 1)).modulus == (1, 0, 1)
+        with pytest.raises(ValueError, match="modulus is reducible"):
+            ExtField(7, 2, modulus=(6, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
+        with pytest.raises(ValueError, match="monic"):
+            ExtField(7, 2, modulus=(1, 0, 2))
 
 
 class TestPoly:

@@ -1,7 +1,10 @@
 """Tests for the 2-torsion gluing: both sextic forms, error taxonomy,
 torsion graphs, and end-to-end reconstruction."""
+import dataclasses
+
 import pytest
 
+from jacpairs import glue
 from jacpairs.exact.poly import Poly, discriminant
 from jacpairs.exact.rings import GF
 from jacpairs.exact.roots import roots
@@ -120,8 +123,8 @@ class TestReconstruction:
         "fid,p,t",
         [
             ("howe2", 101, 7),
-            ("deg3", 101, 3),
-            ("deg3", 103, 5),  # 2-torsion needs a cubic extension here
+            ("deg3", 101, 3),  # 2-torsion needs a cubic extension here
+            ("deg3", 103, 5),
             ("deg4", 101, 3),
             ("deg7", 101, 2),
         ],
@@ -137,3 +140,18 @@ class TestReconstruction:
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
             verify_reconstruction(family_spec("deg3"), 101, 0)
+
+    def test_non_descending_sextic_is_reported(self, monkeypatch):
+        # shift the constant term of every glued h off the base field of
+        # GF(101^3); the pairing must be recorded as an error, not crash
+        def off_base(inp):
+            res = glue_p10(inp)
+            K = res.h.ring
+            return dataclasses.replace(res, h=res.h + Poly.constant(K, K.gen))
+
+        monkeypatch.setattr(glue, "glue_p10", off_base)
+        rep = verify_reconstruction(family_spec("deg3"), 101, 3)
+        assert not rep["match"]
+        assert rep["classesFound"] == []
+        assert rep["graphsTried"] == 3
+        assert all(d["error"] == "NonDescendingCurve" for d in rep["diagnostics"])
