@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exact.rings import GF, QQ
 from .exact.serialize import field_to_json, poly_from_json, poly_to_json
-from .families import FAMILY_IDS, eval_poly, family_sextic, family_spec
+from .families import FAMILY_IDS, family_sextic, family_spec
 from .igusa.invariants import igusa_vector, weighted_equal
 
 
@@ -37,7 +37,7 @@ def _parse_scalar(F, text: str):
 
 
 def _field_of(args):
-    return GF(args.p) if getattr(args, "p", None) else QQ
+    return GF(args.p) if getattr(args, "p", None) is not None else QQ
 
 
 def _cmd_family(args) -> int:

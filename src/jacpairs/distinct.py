@@ -23,7 +23,7 @@ from .exact.poly import (
 )
 from .exact.integers import trial_division
 from .exact.rings import GF, GFext
-from .exact.roots import irreducible_factors, roots
+from .exact.roots import irreducible_factors, roots, splitting_field
 from .families import FamilySpec, _scalar_in, eval_poly, family_sextic
 from .igusa.invariants import (
     geometric_isomorphism_test,
@@ -170,12 +170,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
 
 def _verify_locus_factor(spec, F, fac, exc):
     d = fac.degree
-    if d == 1:
-        K = F
-        fk = fac
-    else:
-        K = GFext(F.p, d)
-        fk = fac.map_coeffs(K, K.from_base)
+    K, (fk,) = splitting_field(F, fac)
     rts = roots(fk)
     entry = {"factor": str(fac), "root_field_degree": d, "roots": len(rts)}
     ok = len(rts) == d
@@ -242,11 +237,8 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
         )
         if K.is_zero(validity):
             continue
-        try:
-            _, c_t = family_sextic(spec, K, t)
-            _, c_mt = family_sextic(spec, K, K.neg(t))
-        except (ValueError, ZeroDivisionError):
-            continue
+        _, c_t = family_sextic(spec, K, t)
+        _, c_mt = family_sextic(spec, K, K.neg(t))
         u = igusa_vector(c_t)
         v = igusa_vector(c_mt)
         if weighted_equal(u, v, K, geometric=True):

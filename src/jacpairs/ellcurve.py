@@ -1,5 +1,6 @@
 """Elliptic curve models y^2 = monic cubic: discriminant, j-invariant,
-2-torsion, point membership, and a bounded naive rational-point search.
+2-torsion, point membership, and a bounded naive rational-point search
+(for y^2 = f(x) with f of any odd degree).
 
 Only the shape y^2 = x^3 + a2 x^2 + a4 x + a6 is supported (characteristic
 is never 2 here, so this is lossless after completing the square, and every
@@ -14,7 +15,7 @@ from math import gcd, isqrt
 
 from .exact.integers import is_perfect_square
 from .exact.poly import Poly, discriminant
-from .exact.rings import QQ, ExtField, PrimeField
+from .exact.rings import QQ, PrimeField
 from .exact.roots import roots, roots_in_splitting_field
 
 
@@ -110,41 +111,50 @@ def on_curve(E: WeierstrassModel, P: AffinePoint) -> bool:
     return lhs == E.cubic.evaluate(P.x)
 
 
-def bounded_point_search(E: WeierstrassModel, height_bound: int):
-    """All affine rational points (a/b^2, c/b^3) with |a|, b <= height_bound
-    found by exhaustive scan over x-candidates (NOT a completeness proof).
-    The model must be over Q with integer coefficients."""
-    if E.ring is not QQ:
-        raise TypeError("rational point search requires a model over Q")
-    if height_bound < 1:
+def odd_degree_point_search(f: Poly, bound: int):
+    """All affine rational points (a/b^2, c/b^d) on y^2 = f(x), f of odd
+    degree d with integer coefficients, with |a| <= bound, 0 < b <=
+    sqrt(bound) and gcd(a, b) = 1, found by exhaustive scan (NOT a
+    completeness proof).  b^(2d) f(a/b^2) is an integer, and it is a square
+    c^2 exactly when f(a/b^2) is the square of a rational."""
+    if bound < 1:
         raise ValueError("height bound must be >= 1")
-    coeffs = []
-    for i in range(4):
-        c = Fraction(E.cubic.coeff(i))
+    d = f.degree
+    if d % 2 == 0:
+        raise ValueError("odd degree required")
+    high_to_low = []
+    for c in reversed(f.coeffs):
+        c = Fraction(c)
         if c.denominator != 1:
             raise ValueError("integer model required for the search")
-        coeffs.append(c.numerator)
-    a6, a4, a2, _ = coeffs
+        high_to_low.append(c.numerator)
     found = []
-    for b in range(1, isqrt(height_bound) + 1):
-        b2, b4, b6 = b * b, b**4, b**6
-        for a in range(-height_bound, height_bound + 1):
+    for b in range(1, isqrt(bound) + 1):
+        bb, bd = b * b, b**d
+        # b^(2d) f(a/b^2) = sum c_i a^i (b^2)^(d-i), by Horner in a
+        weights = [c * bb**k for k, c in enumerate(high_to_low)]
+        for a in range(-bound, bound + 1):
             if gcd(a, b) != 1:
                 continue
-            # y^2 = cubic(a/b^2); clear denominators by b^6:
-            # (b^3 y)^2 = a^3 + a2 a^2 b^2 + a4 a b^4 + a6 b^6
-            rhs = a * a * a + a2 * a * a * b2 + a4 * a * b4 + a6 * b6
-            if rhs < 0:
-                continue
+            rhs = 0
+            for w in weights:
+                rhs = rhs * a + w
             if is_perfect_square(rhs):
-                c = isqrt(rhs)
-                x = Fraction(a, b * b)
-                y = Fraction(c, b * b * b)
+                x = Fraction(a, bb)
+                y = Fraction(isqrt(rhs), bd)
                 found.append(AffinePoint(x, y))
-                if c != 0:
+                if y:
                     found.append(AffinePoint(x, -y))
     found.sort(key=lambda P: (P.x, P.y))
     return found
+
+
+def bounded_point_search(E: WeierstrassModel, height_bound: int):
+    """``odd_degree_point_search`` on a model over Q with integer
+    coefficients: the points (a/b^2, c/b^3) with |a|, b^2 <= height_bound."""
+    if E.ring is not QQ:
+        raise TypeError("rational point search requires a model over Q")
+    return odd_degree_point_search(E.cubic, height_bound)
 
 
 def exhaustive_split_scan(p: int) -> dict:

@@ -45,12 +45,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
-    def constant_value(self):
-        return self.coeffs[0] if self.coeffs else self.ring.zero
-
     def lc(self):
         if not self.coeffs:
             raise ValueError("leading coefficient of zero polynomial")
@@ -215,10 +209,6 @@ class Poly:
         x = Poly(self.ring, [c, self.ring.one])
         return self.evaluate(x)
 
-    def reversed(self):
-        """x^deg * f(1/x): the coefficient-reversed polynomial."""
-        return Poly(self.ring, list(reversed(self.coeffs)))
-
     def monic(self):
         R = self.ring
         if not R.is_field:
@@ -273,6 +263,8 @@ class PolyRing:
         return -a
 
     def divexact(self, a, b):
+        if self.base.is_field and b.degree == 0:
+            return a.scale(self.base.inv(b.lc()))
         q, r = divmod_exact_ring(a, b)
         if not r.is_zero():
             raise ArithmeticError("inexact polynomial division")

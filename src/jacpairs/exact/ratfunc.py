@@ -42,11 +42,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0 and self.den.lc() == self.num.ring.one
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         other = _coerce(self, other)

@@ -5,6 +5,13 @@ A ring is an object exposing arithmetic on *plain* element values
 extension fields).  Elements are always kept in canonical form, so
 ``==`` on values is equality in the ring.  All rings are immutable and
 all operations are pure.
+
+A prime field is the degree-1 finite field: it answers ``from_base``,
+``in_base`` and ``frobenius`` like ``ExtField`` does, so code working in a
+splitting field need not ask which of the two it got.  The modulus of
+GF(p^m) is the first monic irreducible in a fixed order; irreducibility is
+decided by the same distinct-degree factorization the ``roots`` module
+uses.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .integers import is_perfect_square, is_prime, squarefree_part
+from .integers import is_perfect_square, is_prime
 
 
 class IntegerRing:
@@ -53,9 +60,6 @@ class IntegerRing:
 
     def to_str(self, a):
         return str(a)
-
-    def parse(self, s):
-        return int(s)
 
     def __repr__(self):
         return "ZZ"
@@ -108,18 +112,8 @@ class RationalField:
         a = Fraction(a)
         return a >= 0 and is_perfect_square(a.numerator) and is_perfect_square(a.denominator)
 
-    def squarefree_part(self, a):
-        a = Fraction(a)
-        if a == 0:
-            raise ValueError("squarefree part of zero")
-        # a = d * m^2 with d squarefree integer (denominator absorbed as den/den^2)
-        return Fraction(squarefree_part(a.numerator * a.denominator))
-
     def to_str(self, a):
         return str(a)
-
-    def parse(self, s):
-        return Fraction(str(s).replace("−", "-"))
 
     def __repr__(self):
         return "QQ"
@@ -149,6 +143,14 @@ class PrimeField:
 
     def from_int(self, k):
         return k % self.p
+
+    from_base = from_int
+
+    def in_base(self, a):
+        return a
+
+    def frobenius(self, a):
+        return a
 
     def add(self, a, b):
         s = a + b
@@ -221,9 +223,6 @@ class PrimeField:
     def to_str(self, a):
         return str(a)
 
-    def parse(self, s):
-        return int(s) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -271,31 +270,11 @@ def _tuple_powmod(a, n, modulus, p):
 
 def _is_irreducible(coeffs, p):
     """Irreducibility of a monic polynomial (coefficient tuple, low-to-high)
-    over F_p, by Rabin's criterion: x^(p^m) == x mod f, and for every prime
-    q dividing m, gcd(x^(p^(m/q)) - x, f) = 1.  (The weaker check
-    x^(p^(m/q)) != x mod f admits reducible inputs whose factor degrees
-    divide m but not m/q, e.g. degrees {1,2,3} for m = 6.)"""
-    from .poly import Poly, gcd_field  # poly imports this module
+    over F_p: its distinct-degree factorization is one factor of degree m."""
+    from .poly import Poly  # poly and roots import this module
+    from .roots import splitting_degrees
 
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    F = GF(p)
-    x = (0, 1) + (0,) * (m - 2)
-    xq = x
-    for _ in range(m):
-        xq = _tuple_powmod(xq, p, coeffs, p)
-    if xq != x:
-        return False
-    for q in set(factor for factor in (2, 3, 5) if m % factor == 0):
-        xq = x
-        for _ in range(m // q):
-            xq = _tuple_powmod(xq, p, coeffs, p)
-        diff = list(xq)
-        diff[1] = (diff[1] - 1) % p
-        if gcd_field(Poly(F, coeffs), Poly(F, diff)).degree > 0:
-            return False
-    return True
+    return splitting_degrees(Poly(GF(p), coeffs)) == [len(coeffs) - 1]
 
 
 def _has_irreducible_binomial(p: int, m: int) -> bool:
@@ -316,7 +295,8 @@ def _default_modulus(p: int, m: int) -> tuple:
 
     The first p candidates are the binomials x^m + c.  When none of them
     can be irreducible (`_has_irreducible_binomial`), the walk starts at
-    x^m + x instead: the result is the same, without ~p Rabin tests."""
+    x^m + x instead: the result is the same, without ~p irreducibility
+    tests."""
     if m == 1:
         return (0, 1)
     start = 0 if _has_irreducible_binomial(p, m) else p

@@ -6,6 +6,8 @@ orderings.
 """
 from __future__ import annotations
 
+from math import lcm
+
 from .poly import (
     Poly,
     divmod_field,
@@ -200,10 +202,17 @@ def splitting_degrees(f: Poly):
     return sorted(degs)
 
 
-def _lcm(values):
-    from math import lcm
-
-    return lcm(*values) if values else 1
+def splitting_field(F, *polys):
+    """The smallest extension of the prime field F in which every one of
+    ``polys`` (over F) splits, and the polys lifted into it:
+    ``(K, [lifted polys])``.  K is F itself when they all split over F."""
+    if not isinstance(F, PrimeField):
+        raise TypeError("expected polynomials over a prime field")
+    m = lcm(*(d for f in polys for d in splitting_degrees(f)))
+    if m == 1:
+        return F, list(polys)
+    K = GFext(F.p, m)
+    return K, [f.map_coeffs(K, K.from_base) for f in polys]
 
 
 def roots_in_splitting_field(f: Poly):
@@ -212,12 +221,5 @@ def roots_in_splitting_field(f: Poly):
     Returns ``(K, roots)`` with ``K`` an extension field (or the prime field
     itself when ``f`` splits already) and the distinct roots sorted.
     """
-    F = f.ring
-    if not isinstance(F, PrimeField):
-        raise TypeError("expected a polynomial over a prime field")
-    m = _lcm(splitting_degrees(f))
-    if m == 1:
-        return F, roots(f)
-    K = GFext(F.p, m)
-    lifted = f.map_coeffs(K, K.from_base)
+    K, (lifted,) = splitting_field(f.ring, f)
     return K, roots(lifted)

@@ -65,9 +65,9 @@ def element_from_json(R, obj):
         if int(obj["p"]) != R.p or int(obj["degree"]) != R.m:
             raise ValueError("element does not belong to this field")
         coeffs = [int(c) % R.p for c in obj["coeffs"]]
-        if len(coeffs) != R.m:
-            coeffs = (coeffs + [0] * R.m)[: R.m]
-        return tuple(coeffs)
+        if len(coeffs) > R.m:
+            raise ValueError(f"{len(coeffs)} coefficients for an element of {R.name}")
+        return tuple(coeffs) + (0,) * (R.m - len(coeffs))
     raise TypeError(f"cannot parse elements of {R!r}")
 
 

@@ -15,11 +15,11 @@ Weierstrass models over a finite field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import permutations
 
-from .exact.poly import Poly, discriminant, squarefree_part
-from .exact.rings import ExtField, GFext, PrimeField
-from .exact.roots import roots, splitting_degrees
+from .exact.poly import Poly, discriminant
+from .exact.rings import GF
+from .exact.roots import roots, splitting_field
 from .families import FamilySpec, eval_poly, family_sextic, weierstrass_at
 from .igusa.invariants import (
     igusa_vector,
@@ -243,34 +243,7 @@ def alpha_image(graph: TorsionGraph, psi_on_torsion):
 # ---------------------------------------------------------------------------
 
 
-def _splitting_data(F, cubic1, cubic2):
-    m = lcm(
-        lcm(*(splitting_degrees(cubic1) + [1])),
-        lcm(*(splitting_degrees(cubic2) + [1])),
-    )
-    if m == 1:
-        return F, cubic1, cubic2
-    K = GFext(F.p, m)
-    return (
-        K,
-        cubic1.map_coeffs(K, K.from_base),
-        cubic2.map_coeffs(K, K.from_base),
-    )
-
-
-def _frobenius_perm(K, rts):
-    if not isinstance(K, ExtField):
-        return tuple(range(len(rts)))
-    out = []
-    for r in rts:
-        fr = K.frobenius(r)
-        out.append(rts.index(fr))
-    return tuple(out)
-
-
 def _descend_poly(K, F, h):
-    if K is F:
-        return h
     coeffs = [K.in_base(c) for c in h.coeffs]
     if None in coeffs:
         raise NonDescendingCurve("glued sextic is not defined over the base field")
@@ -284,9 +257,6 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
     classes of the two family curves C_t, C_{-t} are exactly the classes
     produced (each by some pairing, and no pairing producing anything
     else except the degenerate errors recorded per pairing)."""
-    from .exact.rings import GF
-    from itertools import permutations
-
     if p <= 5:
         raise ValueError("p > 5 required")
     F = GF(p)
@@ -305,13 +275,13 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
     target = [igusa_vector(c_t), igusa_vector(c_mt)]
     matched = [False, False]
 
-    K, cf, cg = _splitting_data(F, E.cubic, Ep.cubic)
+    K, (cf, cg) = splitting_field(F, E.cubic, Ep.cubic)
     rts_f = roots(cf)
     rts_g = roots(cg)
     if len(rts_f) != 3 or len(rts_g) != 3:
         raise AssertionError("cubics must be separable")
-    frob_f = _frobenius_perm(K, rts_f)
-    frob_g = _frobenius_perm(K, rts_g)
+    frob_f = [rts_f.index(K.frobenius(r)) for r in rts_f]
+    frob_g = [rts_g.index(K.frobenius(r)) for r in rts_g]
 
     diagnostics = []
     for perm in sorted(permutations(range(3))):
@@ -329,8 +299,8 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
             entry["error"] = type(exc).__name__
             diagnostics.append(entry)
             continue
-        entry["A_in_base"] = _in_base(K, F, res.A) is not None
-        entry["B_in_base"] = _in_base(K, F, res.B) is not None
+        entry["A_in_base"] = K.in_base(res.A) is not None
+        entry["B_in_base"] = K.in_base(res.B) is not None
         vec = igusa_vector(h_base)
         which = []
         for idx in range(2):
@@ -356,12 +326,6 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
 
 def b_of(perm, rts_g):
     return [rts_g[perm[i]] for i in range(3)]
-
-
-def _in_base(K, F, v):
-    if K is F:
-        return v
-    return K.in_base(v)
 
 
 __all__ = [

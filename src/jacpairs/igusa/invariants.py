@@ -17,9 +17,9 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from ..exact.poly import Poly, discriminant
-from ..exact.rings import QQ, ZZ, ExtField, GFext, PrimeField
-from ..exact.roots import element_sort_key, splitting_degrees, roots
+from ..exact.poly import Poly, PolyRing, discriminant, divmod_field
+from ..exact.rings import QQ, ExtField, PrimeField
+from ..exact.roots import roots, splitting_field
 
 from ._clebsch_formulas import I2 as _F2, I4 as _F4, I6 as _F6
 
@@ -73,24 +73,12 @@ def root_difference_oracle(f: Poly):
     """(I2, I4, I6, I10) evaluated literally from the root-difference sums in
     a splitting field; finite prime-field input only.  Independent of the
     frozen coefficient formulas."""
-    F = f.ring
-    if not isinstance(F, PrimeField):
-        raise TypeError("oracle accepts polynomials over a prime field")
-    _check_char(F)
+    _check_char(f.ring)
     if f.degree not in (5, 6):
         raise ValueError("input must have degree 5 or 6")
-    m = 1
-    for d in splitting_degrees(f):
-        from math import lcm
-
-        m = lcm(m, d)
-    K = GFext(F.p, m) if m > 1 else F
-    lift = f if m == 1 else f.map_coeffs(K, K.from_base)
-    rts = []
-    for r in roots(lift):
-        # multiplicity check: separable input required
-        rts.append(r)
-    if len(rts) != f.degree:
+    K, (lift,) = splitting_field(f.ring, f)
+    rts = roots(lift)
+    if len(rts) != f.degree:  # a repeated root
         raise ValueError("inseparable input")
     a = lift.lc()
 
@@ -158,26 +146,18 @@ def root_difference_oracle(f: Poly):
     a10 = K.mul(K.mul(a4, a4), a2)
     i10 = K.mul(i10, a10)
 
-    return tuple(_descend(K, F, v) for v in (i2, i4, i6, i10))
-
-
-def _descend(K, F, v):
-    if K is F:
-        return v
-    return K.in_base(v)
+    return tuple(K.in_base(v) for v in (i2, i4, i6, i10))
 
 
 def igusa_j(ic, R):
     """Convert (I2, I4, I6, I10) to the scaled vector (J2, J4, J6, J8, J10)
-    over the field R (characteristic 0 or > 5)."""
+    over R (characteristic 0 or > 5): a field, or a ring such as Q[t] in
+    which the divisions by 8, 96, 576, 4 and 4096 are exact."""
     _check_char(R)
-    if not R.is_field:
-        raise TypeError("igusa_j requires a field")
     i2, i4, i6, i10 = ic
-    inv8 = R.inv(R.from_int(8))
-    j2 = R.mul(i2, inv8)
-    j4 = R.div(R.sub(R.mul(R.from_int(4), R.mul(j2, j2)), i4), R.from_int(96))
-    j6 = R.div(
+    j2 = R.divexact(i2, R.from_int(8))
+    j4 = R.divexact(R.sub(R.mul(R.from_int(4), R.mul(j2, j2)), i4), R.from_int(96))
+    j6 = R.divexact(
         R.sub(
             R.sub(
                 R.mul(R.from_int(8), R.mul(j2, R.mul(j2, j2))),
@@ -187,8 +167,8 @@ def igusa_j(ic, R):
         ),
         R.from_int(576),
     )
-    j8 = R.div(R.sub(R.mul(j2, j6), R.mul(j4, j4)), R.from_int(4))
-    j10 = R.div(i10, R.from_int(4096))
+    j8 = R.divexact(R.sub(R.mul(j2, j6), R.mul(j4, j4)), R.from_int(4))
+    j10 = R.divexact(i10, R.from_int(4096))
     out = []
     for jk, e in zip((j2, j4, j6, j8, j10), J_SCALE_EXP):
         out.append(R.mul(jk, R.from_int(2**e)))
@@ -307,30 +287,10 @@ def j_polynomials_of_sextic_family(sextic_zt) -> tuple:
     """Scaled J's of a one-parameter sextic with Z[t] coefficients, as exact
     polynomials in Q[t] (the conversions only divide by constants, so each
     J_{2k}(t) is a genuine polynomial)."""
-    from ..exact.poly import PolyRing
-
-    Rt = sextic_zt.ring  # PolyRing(ZZ)
-    if not isinstance(Rt, PolyRing):
+    if not isinstance(sextic_zt.ring, PolyRing):
         raise TypeError("expected a sextic with polynomial coefficients")
-    i2, i4, i6, _ = igusa_clebsch(sextic_zt)
-    i10 = discriminant(sextic_zt) if sextic_zt.degree == 6 else None
-    if i10 is None:
-        lc = sextic_zt.lc()
-        i10 = Rt.mul(discriminant(sextic_zt), Rt.mul(lc, lc))
-
-    def to_q(p):
-        return p.map_coeffs(QQ, Fraction)
-
-    q2, q4, q6, q10 = (to_q(p) for p in (i2, i4, i6, i10))
-    j2 = q2.scale(Fraction(1, 8))
-    j4 = (j2 * j2 * 4 - q4).scale(Fraction(1, 96))
-    j6 = (j2 * j2 * j2 * 8 - j2 * j4 * 160 - q6).scale(Fraction(1, 576))
-    j8 = (j2 * j6 - j4 * j4).scale(Fraction(1, 4))
-    j10 = q10.scale(Fraction(1, 4096))
-    out = []
-    for jk, e in zip((j2, j4, j6, j8, j10), J_SCALE_EXP):
-        out.append(jk.scale(Fraction(2**e)))
-    return tuple(out)
+    ic = [i.map_coeffs(QQ, Fraction) for i in igusa_clebsch(sextic_zt)]
+    return igusa_j(ic, PolyRing(QQ))
 
 
 def r_numerators(js) -> dict:
@@ -358,8 +318,6 @@ def r_polynomials(spec) -> dict:
     for name, den in spec.r_denominators.items():
         num = numerators[name]
         denq = den.map_coeffs(QQ, Fraction)
-        from ..exact.poly import divmod_field
-
         q, r = divmod_field(num, denq)
         if not r.is_zero():
             raise ArithmeticError(

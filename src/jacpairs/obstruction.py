@@ -12,27 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .exact.integers import is_perfect_square
-from .exact.poly import (
-    Poly,
-    PolyRing,
-    divmod_field,
-    gcd_field,
-    rational_poly_to_primitive,
-    squarefree_decomposition,
-)
+from .exact.poly import Poly, rational_poly_to_primitive, squarefree_part
 from .exact.rings import QQ, ZZ
-from .ellcurve import AffinePoint, WeierstrassModel, bounded_point_search, on_curve
+from .ellcurve import AffinePoint, odd_degree_point_search
 from .families import x0_jpair
 
 _X = Poly.gen(ZZ)
 _ONE = Poly.one(ZZ)
-
-
-def _zpoly(*coeffs_high_to_low):
-    return Poly.from_ints(ZZ, list(reversed(coeffs_high_to_low)))
 
 
 @dataclass(frozen=True)
@@ -127,31 +114,11 @@ def _to_q(p):
     return p.map_coeffs(QQ, Fraction)
 
 
-def _odd_part(f):
-    """Product of the irreducible-power factors of f in Q[x] appearing with
-    odd multiplicity: f modulo squares."""
-    out = Poly.one(QQ)
-    for g, m in squarefree_decomposition(f):
-        if m % 2 == 1:
-            out = out * g
-    return out
-
-
 def _mod_squares_of_rational(num, den):
     """num/den in Q(x) modulo squares, as a monic polynomial plus the
     leftover rational constant."""
     prod = _to_q(num) * _to_q(den)
-    lead = prod.lc()
-    part = _odd_part(prod)
-    return part.monic(), Fraction(lead)
-
-
-def _fraction_is_square(c: Fraction) -> bool:
-    return (
-        c > 0
-        and is_perfect_square(c.numerator)
-        and is_perfect_square(c.denominator)
-    )
+    return squarefree_part(prod), prod.lc()
 
 
 def square_condition_consistency(n: int) -> dict:
@@ -177,9 +144,7 @@ def square_condition_consistency(n: int) -> dict:
     poly1, c1 = shifted_mod_squares(j)
     if rec.parity == "even":
         poly2, c2 = shifted_mod_squares(jp)
-        prod = poly1 * poly2
-        g = gcd_field(poly1, poly2)
-        derived = divmod_field(prod, g * g)[0].monic()
+        derived = squarefree_part(poly1 * poly2)
         constant = c1 * c2
     else:
         derived = poly1
@@ -188,15 +153,10 @@ def square_condition_consistency(n: int) -> dict:
     curve_q = _to_q(rec.curve).monic()
     derived_matches_curve = derived == curve_q
 
-    dn, dd = rec.delta
-    delta_poly, delta_c = _mod_squares_of_rational(dn, dd)
+    delta_poly, _ = _mod_squares_of_rational(*rec.delta)
     if rec.delta_prime is not None:
-        pn, pd = rec.delta_prime
-        dp_poly, dp_c = _mod_squares_of_rational(pn, pd)
-        prod = delta_poly * dp_poly
-        g = gcd_field(delta_poly, dp_poly)
-        delta_poly = divmod_field(prod, g * g)[0].monic()
-        delta_c *= dp_c
+        dp_poly, _ = _mod_squares_of_rational(*rec.delta_prime)
+        delta_poly = squarefree_part(delta_poly * dp_poly)
     delta_matches_curve = delta_poly == curve_q
     x_delta_matches_curve = (
         Poly.gen(QQ) * delta_poly
@@ -206,7 +166,7 @@ def square_condition_consistency(n: int) -> dict:
         "n": n,
         "parity": rec.parity,
         "derived_matches_curve": derived_matches_curve,
-        "derived_constant_is_square": _fraction_is_square(constant),
+        "derived_constant_is_square": QQ.is_square(constant),
         "delta_matches_curve": delta_matches_curve,
         "x_delta_matches_curve": x_delta_matches_curve,
         "delta_discrepancy": not delta_matches_curve,
@@ -220,48 +180,17 @@ def square_condition_consistency(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _hyperelliptic_bounded_search(f, bound):
-    """Rational points (x, y) on y^2 = f(x) (odd degree) with x = a/b^2,
-    |a| <= bound, 0 < b <= sqrt(bound)."""
-    from math import gcd as _g
-
-    fq = _to_q(f)
-    found = []
-    for b in range(1, isqrt(bound) + 1):
-        bb = b * b
-        for a in range(-bound, bound + 1):
-            if _g(a, b) != 1:
-                continue
-            x = Fraction(a, bb)
-            val = fq.evaluate(x)
-            if val < 0:
-                continue
-            if is_perfect_square(val.numerator) and is_perfect_square(
-                val.denominator
-            ):
-                y = Fraction(isqrt(val.numerator), isqrt(val.denominator))
-                found.append(AffinePoint(x, y))
-                if y != 0:
-                    found.append(AffinePoint(x, -y))
-    return sorted(set(found), key=lambda P: (P.x, P.y))
-
-
 def verify_obstruction(n: int, search_bound: int = 1000) -> dict:
     """Check the recorded points lie on O_n and corroborate completeness of
-    the recorded list by bounded search.  Finiteness for the genus-3 curves
-    is a recorded assertion; the search only confirms no further small
-    points."""
+    the recorded list by bounded search (bound 200 for the degree-7
+    curves).  Finiteness for the genus-3 curves is a recorded assertion; the
+    search only confirms no further small points."""
     rec = RECORDS[n]
-    points_on = all(
-        _on_record_curve(rec, P) for P in rec.points
-    )
-    if rec.curve.degree == 3:
-        model = WeierstrassModel(_to_q(rec.curve).monic())
-        found = bounded_point_search(model, search_bound)
-    else:
-        found = _hyperelliptic_bounded_search(rec.curve, min(search_bound, 200))
+    points_on = all(rec.curve(P.x) == P.y * P.y for P in rec.points)
+    bound = search_bound if rec.curve.degree == 3 else min(search_bound, 200)
+    found = odd_degree_point_search(rec.curve, bound)
     recorded = sorted(rec.points, key=lambda P: (P.x, P.y))
-    search_matches = [P for P in found] == recorded
+    search_matches = found == recorded
     return {
         "n": n,
         "points_on_curve": points_on,
@@ -271,11 +200,6 @@ def verify_obstruction(n: int, search_bound: int = 1000) -> dict:
         "finite_by": rec.finite_by,
         "pass": points_on and search_matches,
     }
-
-
-def _on_record_curve(rec, P):
-    fq = _to_q(rec.curve)
-    return fq.evaluate(P.x) == P.y * P.y
 
 
 def verify_all(search_bound: int = 1000) -> dict:

@@ -48,6 +48,14 @@ class TestFamily:
         code = run(["family", "gen", "--family", "deg3", "--t", "0"])
         assert code == 2
 
+    def test_zero_prime_is_error(self, capsys):
+        # --p 0 names no prime field; it must not fall back to Q
+        code = run(["family", "gen", "--family", "deg3", "--t", "3", "--p", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "0 is not prime" in captured.err
+
 
 class TestIgusa:
     SEXTIC = json.dumps(["3", "1", "0", "0", "0", "0", "1"])

@@ -2,6 +2,7 @@
 denominator exponents, fallback triple, and small exhaustive scans."""
 import pytest
 
+from jacpairs import distinct
 from jacpairs.distinct import charp_analysis, full_scan, prime_support
 from jacpairs.families import family_spec
 
@@ -98,3 +99,17 @@ class TestFullScan:
     def test_scan_rejects_other_extensions(self):
         with pytest.raises(ValueError):
             full_scan(family_spec("deg3"), 13, 3)
+
+    def test_sextic_error_is_not_skipped(self, monkeypatch):
+        # t = 4 is a valid parameter of deg3 mod 13; an error building its
+        # curves must stop the scan instead of dropping t from it
+        family_sextic = distinct.family_sextic
+
+        def failing(spec, K, t):
+            if t == 4:
+                raise ZeroDivisionError("injected")
+            return family_sextic(spec, K, t)
+
+        monkeypatch.setattr(distinct, "family_sextic", failing)
+        with pytest.raises(ZeroDivisionError, match="injected"):
+            full_scan(family_spec("deg3"), 13, 1)

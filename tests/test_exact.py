@@ -1,4 +1,5 @@
 """Unit tests for the exact-arithmetic layer."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from jacpairs.exact.roots import (
     roots,
     roots_in_splitting_field,
     splitting_degrees,
+    splitting_field,
 )
 from jacpairs.exact.serialize import (
     element_from_json,
@@ -186,6 +188,35 @@ class TestModulusSearch:
             ExtField(7, 2, modulus=(1, 0, 2))
 
 
+class TestIrreducibility:
+    def test_low_degree_irreducible_iff_rootless(self):
+        # in degree 2 and 3 a monic polynomial is reducible exactly when it
+        # has a root in F_p; every candidate for small p^m, a seeded sample
+        # of 60 otherwise
+        rng = random.Random(5)
+        for p in (q for q in range(3, 50) if is_prime(q)):
+            for m in (2, 3):
+                if p**m <= 400:
+                    lows = itertools.product(range(p), repeat=m)
+                else:
+                    lows = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(60)]
+                for low in lows:
+                    coeffs = tuple(low) + (1,)
+                    rootless = all(
+                        sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+                        for x in range(p)
+                    )
+                    assert rings._is_irreducible(coeffs, p) == rootless, (p, coeffs)
+
+    def test_gauss_count_of_quartics_over_f7(self):
+        # (7^4 - 7^2) / 4 = 588 monic irreducible quartics over F_7
+        count = sum(
+            rings._is_irreducible(low + (1,), 7)
+            for low in itertools.product(range(7), repeat=4)
+        )
+        assert count == 588
+
+
 class TestPoly:
     def test_divmod_and_gcd(self):
         F = GF(97)
@@ -278,6 +309,26 @@ class TestRoots:
         for r in rts:
             assert K.mul(K.mul(r, r), r) == K.from_int(2)
 
+    def test_splitting_field_is_the_lcm(self):
+        F = GF(7)
+        x = Poly.gen(F)
+        quadratic = x**2 + 1  # -1 is not a square mod 7
+        cubic = x**3 - 2  # 2 is not a cube mod 7
+        K, (q, c) = splitting_field(F, quadratic, cubic)
+        assert K == GFext(7, 6)
+        assert q == quadratic.map_coeffs(K, K.from_base)
+        assert len(roots(q)) == 2 and len(roots(c)) == 3
+        assert splitting_field(F, quadratic)[0] == GFext(7, 2)
+        assert splitting_field(F, cubic)[0] == GFext(7, 3)
+
+    def test_splitting_field_of_split_polynomials_is_the_base(self):
+        F = GF(7)
+        x = Poly.gen(F)
+        split = (x - 1) * (x - 2) * (x + 3)
+        K, lifted = splitting_field(F, split, x)
+        assert K is F
+        assert lifted == [split, x]
+
     def test_irreducible_factors_reassemble(self):
         rng = random.Random(9)
         F = GF(13)
@@ -315,3 +366,10 @@ class TestSerialize:
         K = GFext(11, 2)
         a = (3, 7)
         assert element_from_json(K, element_to_json(K, a)) == a
+
+    def test_element_coefficient_count(self):
+        # short coefficient lists are padded; long ones are an error, not cut
+        K = GFext(7, 2)
+        assert element_from_json(K, {"p": "7", "degree": 2, "coeffs": ["3"]}) == (3, 0)
+        with pytest.raises(ValueError, match="3 coefficients"):
+            element_from_json(K, {"p": "7", "degree": 2, "coeffs": ["1", "2", "3"]})

@@ -8,12 +8,14 @@ import pytest
 from jacpairs.exact.integers import is_prime
 from jacpairs.exact.poly import Poly, discriminant
 from jacpairs.exact.rings import GF, QQ
+from jacpairs.families import FAMILY_IDS, eval_poly, family_sextic, family_spec
 from jacpairs.igusa.invariants import (
     geometric_isomorphism_test,
     igusa_clebsch,
     igusa_j,
     igusa_vector,
     inversion_isomorphism,
+    j_polynomials_of_sextic_family,
     root_difference_oracle,
     weighted_equal,
 )
@@ -190,3 +192,16 @@ class TestRationalField:
         assert weighted_equal(u, (0, 0, 0, 0, Fraction(1, 3**10)), QQ)
         assert weighted_equal(u, (0, 0, 0, 0, 10**400), QQ)
         assert not weighted_equal(u, (0, 0, 0, 0, 2 * 10**400), QQ)
+
+
+class TestFamilyJPolynomials:
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_specialization_matches_igusa_vector(self, fid):
+        # the J's over Q[t], reduced mod p and evaluated at t0, are the J's
+        # of the family sextic built directly over F_p at t0
+        spec = family_spec(fid)
+        js = j_polynomials_of_sextic_family(spec.sextic_zt())
+        for p, t0 in ((101, 3), (1009, 17), (7919, 1234)):
+            F = GF(p)
+            at_t0 = tuple(eval_poly(j, F, F.from_int(t0)) for j in js)
+            assert at_t0 == igusa_vector(family_sextic(spec, F, F.from_int(t0))[1])
