@@ -1,6 +1,6 @@
-"""Elliptic curve models y^2 = monic cubic: discriminant, j-invariant,
-2-torsion, point membership, and a bounded naive rational-point search
-(for y^2 = f(x) with f of any odd degree).
+"""Elliptic curve models y^2 = monic cubic: discriminant, j-invariant, the
+cubic-splitting criterion over F_p, and a bounded naive rational-point
+search (for y^2 = f(x) with f of any odd degree).
 
 Only the shape y^2 = x^3 + a2 x^2 + a4 x + a6 is supported (characteristic
 is never 2 here, so this is lossless after completing the square, and every
@@ -15,24 +15,23 @@ from math import gcd, isqrt
 
 from .exact.integers import is_perfect_square
 from .exact.poly import Poly, discriminant
-from .exact.rings import QQ, PrimeField
-from .exact.roots import roots, roots_in_splitting_field
+from .exact.rings import PrimeField
+from .exact.roots import roots
 
 
 class WeierstrassModel:
     """y^2 = cubic(x) with cubic a monic degree-3 polynomial over a field."""
 
-    __slots__ = ("cubic", "possibly_singular")
+    __slots__ = ("cubic",)
 
-    def __init__(self, cubic: Poly, possibly_singular: bool = False):
+    def __init__(self, cubic: Poly):
         if cubic.degree != 3:
             raise ValueError("model requires a cubic right-hand side")
         R = cubic.ring
         if not R.is_one(cubic.lc()):
             raise ValueError("cubic must be monic")
         self.cubic = cubic
-        self.possibly_singular = possibly_singular
-        if not possibly_singular and R.is_zero(discriminant(cubic)):
+        if R.is_zero(discriminant(cubic)):
             raise ValueError("singular model (discriminant zero)")
 
     @property
@@ -40,9 +39,9 @@ class WeierstrassModel:
         return self.cubic.ring
 
     @staticmethod
-    def from_coefficients(ring, a2, a4, a6, possibly_singular: bool = False):
+    def from_coefficients(ring, a2, a4, a6):
         cubic = Poly(ring, [a6, a4, a2, ring.one])
-        return WeierstrassModel(cubic, possibly_singular=possibly_singular)
+        return WeierstrassModel(cubic)
 
     def __repr__(self):
         return f"WeierstrassModel(y^2 = {self.cubic!r})"
@@ -73,19 +72,6 @@ def j_invariant(E: WeierstrassModel):
     return R.div(R.mul(c4, R.mul(c4, c4)), delta)
 
 
-def two_torsion_x(E: WeierstrassModel):
-    """The x-coordinates of the three nonzero 2-torsion points: the roots of
-    the cubic in its minimal splitting field.  Returns (field, [x1, x2, x3])
-    with roots in a deterministic order."""
-    R = E.ring
-    if R.is_zero(discriminant(E.cubic)):
-        raise ValueError("singular model: 2-torsion degenerate")
-    K, xs = roots_in_splitting_field(E.cubic)
-    if len(xs) != 3:
-        raise AssertionError("separable cubic must have three roots")
-    return K, xs
-
-
 def galois_cubic_split_check(f: Poly):
     """Finite-field shadow of the cubic-splitting criterion: for a monic
     separable cubic over F_p, disc(f) is a square iff f has 0 or 3 roots in
@@ -103,12 +89,6 @@ def galois_cubic_split_check(f: Poly):
     nroots = len(roots(f))
     consistent = (square and nroots in (0, 3)) or (not square and nroots == 1)
     return {"disc_is_square": square, "root_count": nroots, "consistent": consistent}
-
-
-def on_curve(E: WeierstrassModel, P: AffinePoint) -> bool:
-    R = E.ring
-    lhs = R.mul(P.y, P.y)
-    return lhs == E.cubic.evaluate(P.x)
 
 
 def odd_degree_point_search(f: Poly, bound: int):
@@ -147,14 +127,6 @@ def odd_degree_point_search(f: Poly, bound: int):
                     found.append(AffinePoint(x, -y))
     found.sort(key=lambda P: (P.x, P.y))
     return found
-
-
-def bounded_point_search(E: WeierstrassModel, height_bound: int):
-    """``odd_degree_point_search`` on a model over Q with integer
-    coefficients: the points (a/b^2, c/b^3) with |a|, b^2 <= height_bound."""
-    if E.ring is not QQ:
-        raise TypeError("rational point search requires a model over Q")
-    return odd_degree_point_search(E.cubic, height_bound)
 
 
 def exhaustive_split_scan(p: int) -> dict:

@@ -1,88 +1,1 @@
 """Exact arithmetic: integers, finite fields, polynomials, rational functions."""
-
-from .integers import factorize, is_perfect_square, is_prime, squarefree_part
-from .poly import (
-    Poly,
-    PolyRing,
-    content_int,
-    discriminant,
-    divmod_exact_ring,
-    divmod_field,
-    gcd_field,
-    primitive_part_int,
-    pseudo_rem,
-    radical,
-    rational_poly_to_primitive,
-    resultant,
-    resultant_sylvester,
-    squarefree_decomposition,
-)
-from .poly import squarefree_part as poly_squarefree_part
-from .ratfunc import FunctionField, RationalFunction
-from .rings import QQ, ZZ, ExtField, GF, GFext, IntegerRing, PrimeField, RationalField
-from .roots import (
-    distinct_degree_factorization,
-    element_sort_key,
-    equal_degree_factorization,
-    irreducible_factors,
-    powmod,
-    roots,
-    roots_in_splitting_field,
-    splitting_degrees,
-    splitting_field,
-)
-from .serialize import (
-    element_from_json,
-    element_to_json,
-    field_from_json,
-    field_to_json,
-    poly_from_json,
-    poly_to_json,
-)
-
-__all__ = [
-    "Poly",
-    "PolyRing",
-    "FunctionField",
-    "RationalFunction",
-    "IntegerRing",
-    "RationalField",
-    "PrimeField",
-    "ExtField",
-    "ZZ",
-    "QQ",
-    "GF",
-    "GFext",
-    "is_prime",
-    "factorize",
-    "squarefree_part",
-    "is_perfect_square",
-    "content_int",
-    "primitive_part_int",
-    "rational_poly_to_primitive",
-    "divmod_field",
-    "divmod_exact_ring",
-    "pseudo_rem",
-    "gcd_field",
-    "poly_squarefree_part",
-    "radical",
-    "squarefree_decomposition",
-    "resultant",
-    "resultant_sylvester",
-    "discriminant",
-    "powmod",
-    "roots",
-    "roots_in_splitting_field",
-    "irreducible_factors",
-    "distinct_degree_factorization",
-    "equal_degree_factorization",
-    "splitting_degrees",
-    "splitting_field",
-    "element_sort_key",
-    "field_to_json",
-    "field_from_json",
-    "element_to_json",
-    "element_from_json",
-    "poly_to_json",
-    "poly_from_json",
-]

@@ -151,19 +151,6 @@ class Poly:
                 base = base * base
         return result
 
-    def __truediv__(self, other):
-        from .ratfunc import RationalFunction
-
-        if isinstance(other, (int, Fraction)) and not isinstance(other, Poly):
-            R = self.ring
-            if R.is_field:
-                c = R.from_int(other) if isinstance(other, int) else other
-                return self.scale(R.inv(c))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self, other)
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ring == other.ring and self.coeffs == other.coeffs
@@ -203,11 +190,6 @@ class Poly:
         """f(-x)."""
         R = self.ring
         return Poly(R, [c if i % 2 == 0 else R.neg(c) for i, c in enumerate(self.coeffs)], normalize=False)
-
-    def shift(self, c):
-        """f(x + c)."""
-        x = Poly(self.ring, [c, self.ring.one])
-        return self.evaluate(x)
 
     def monic(self):
         R = self.ring

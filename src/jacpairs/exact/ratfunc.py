@@ -191,9 +191,6 @@ class FunctionField:
     def one(self) -> RationalFunction:
         return self._one
 
-    def gen(self) -> RationalFunction:
-        return RationalFunction.from_poly(Poly.gen(self.base))
-
     def from_int(self, n: int) -> RationalFunction:
         return RationalFunction.from_poly(
             Poly.constant(self.base, self.base.from_int(n))

@@ -189,34 +189,6 @@ class PrimeField:
         # Euler criterion; 0 counts as a square.
         return a == 0 or pow(a, (self.p - 1) // 2, self.p) == 1
 
-    def sqrt(self, a):
-        """A square root, or None.  Tonelli-Shanks, deterministic search for the non-residue."""
-        p = self.p
-        if a == 0:
-            return 0
-        if not self.is_square(a):
-            return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # Tonelli-Shanks
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, tt = 0, t
-            while tt != 1:
-                tt = tt * tt % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
-
     def elements(self):
         return range(self.p)
 
@@ -322,7 +294,7 @@ class ExtField:
 
     is_field = True
 
-    def __init__(self, p: int, m: int, modulus: tuple | None = None):
+    def __init__(self, p: int, m: int):
         if m < 1 or m > 6:
             raise ValueError("extension degrees above 6 are out of scope")
         self.base = GF(p)
@@ -331,14 +303,7 @@ class ExtField:
         self.degree = m
         self.char = p
         self.order = p**m
-        if modulus is None:
-            self.modulus = _default_modulus(p, m)
-        else:
-            self.modulus = tuple(modulus)
-            if len(self.modulus) != m + 1 or self.modulus[m] != 1:
-                raise ValueError("modulus must be monic of degree m")
-            if not _is_irreducible(self.modulus, p):
-                raise ValueError("modulus is reducible")
+        self.modulus = _default_modulus(p, m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
         self.gen = (0, 1) + (0,) * (m - 2) if m > 1 else (1,)

@@ -213,13 +213,3 @@ def splitting_field(F, *polys):
         return F, list(polys)
     K = GFext(F.p, m)
     return K, [f.map_coeffs(K, K.from_base) for f in polys]
-
-
-def roots_in_splitting_field(f: Poly):
-    """Roots of ``f`` (over a prime field) in its minimal splitting field.
-
-    Returns ``(K, roots)`` with ``K`` an extension field (or the prime field
-    itself when ``f`` splits already) and the distinct roots sorted.
-    """
-    K, (lifted,) = splitting_field(f.ring, f)
-    return K, roots(lifted)

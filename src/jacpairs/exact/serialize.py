@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly
-from .rings import QQ, ZZ, ExtField, GF, GFext, IntegerRing, PrimeField, RationalField
+from .rings import ExtField, IntegerRing, PrimeField, RationalField
 
 
 def field_to_json(R) -> dict:
@@ -30,22 +30,6 @@ def field_to_json(R) -> dict:
     raise TypeError(f"no JSON form for ring {R!r}")
 
 
-def field_from_json(obj: dict):
-    kind = obj["type"]
-    if kind == "Z":
-        return ZZ
-    if kind == "Q":
-        return QQ
-    if kind == "Fp":
-        return GF(int(obj["p"]))
-    if kind == "Fq":
-        K = GFext(int(obj["p"]), int(obj["degree"]))
-        if "modulus" in obj and tuple(int(c) for c in obj["modulus"]) != K.modulus:
-            raise ValueError("extension field modulus mismatch")
-        return K
-    raise ValueError(f"unknown field type {kind!r}")
-
-
 def element_to_json(R, a):
     if isinstance(R, (IntegerRing, RationalField, PrimeField)):
         return str(a)
@@ -55,6 +39,8 @@ def element_to_json(R, a):
 
 
 def element_from_json(R, obj):
+    if isinstance(R, (IntegerRing, RationalField, PrimeField)) and type(obj) not in (str, int):
+        raise ValueError(f"expected a decimal string or integer as an element of {R!r}, got {obj!r}")
     if isinstance(R, IntegerRing):
         return int(obj)
     if isinstance(R, RationalField):
@@ -62,6 +48,8 @@ def element_from_json(R, obj):
     if isinstance(R, PrimeField):
         return int(obj) % R.p
     if isinstance(R, ExtField):
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected an object as an element of {R.name}, got {obj!r}")
         if int(obj["p"]) != R.p or int(obj["degree"]) != R.m:
             raise ValueError("element does not belong to this field")
         coeffs = [int(c) % R.p for c in obj["coeffs"]]
@@ -76,4 +64,6 @@ def poly_to_json(f: Poly) -> list:
 
 
 def poly_from_json(coeffs: list, R) -> Poly:
+    if not isinstance(coeffs, list):
+        raise ValueError(f"expected a JSON array of coefficients, got {coeffs!r}")
     return Poly(R, [element_from_json(R, c) for c in coeffs])

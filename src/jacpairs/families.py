@@ -317,17 +317,6 @@ def x0_jpair(n: int) -> X0Param:
 X0_DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25)
 
 
-def cusp_check(n: int, s_value) -> bool:
-    """True iff ``s_value`` avoids the denominator roots (the cusps) of both
-    parameterizations of degree ``n``."""
-    param = x0_jpair(n)
-    v = Fraction(s_value)
-    return (
-        param.j.den.evaluate(v) != 0
-        and param.j_prime.den.evaluate(v) != 0
-    )
-
-
 # ---------------------------------------------------------------------------
 # the family specifications
 # ---------------------------------------------------------------------------
@@ -840,14 +829,6 @@ def family_sextic(spec: FamilySpec, field, t_value):
     return twist, sextic
 
 
-def family_pair(spec: FamilySpec, field, t_value):
-    """(C_t data, C_{-t} data)."""
-    return (
-        family_sextic(spec, field, t_value),
-        family_sextic(spec, field, field.neg(t_value)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # symbolic identity checks
 # ---------------------------------------------------------------------------
@@ -908,17 +889,3 @@ def symbolic_kappa_check(spec: FamilySpec) -> dict:
         report[name] = assembled == target
     report["pass"] = all(report[k] for k in ("plain", "tilde"))
     return report
-
-
-def galois_restriction_check(spec: FamilySpec, field, s_value) -> bool:
-    """Whether the 2-torsion pairing of the specialized pair is stable under
-    the Galois action: for odd isogeny degree the model discriminant must be
-    a square, for even degree the two discriminants must differ by a
-    square."""
-    d1 = eval_poly(spec.delta_s, field, s_value)
-    d2 = eval_poly(spec.delta_prime_s, field, s_value)
-    if field.is_zero(d1) or field.is_zero(d2):
-        raise ValueError("discriminant vanishes at this parameter")
-    if spec.parity == "odd":
-        return field.is_square(d1)
-    return field.is_square(field.mul(d1, d2))

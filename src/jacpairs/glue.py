@@ -7,10 +7,8 @@ Two independent constructions of h (the three-quadratic product and the
 kappa * prod(gamma_ij x^2 - 1) form) are computed and compared on every
 call.
 
-Also here: the two admissible torsion graphs per parity, the action of the
-automorphism (P, Q) |-> (P, Q + psi(P)) on graphs, and the end-to-end
-reconstruction check that re-derives a family's curve pair from its
-Weierstrass models over a finite field.
+Also here: the end-to-end reconstruction check that re-derives a family's
+curve pair from its Weierstrass models over a finite field.
 """
 from __future__ import annotations
 
@@ -21,11 +19,7 @@ from .exact.poly import Poly, discriminant
 from .exact.rings import GF
 from .exact.roots import roots, splitting_field
 from .families import FamilySpec, eval_poly, family_sextic, weierstrass_at
-from .igusa.invariants import (
-    igusa_vector,
-    inversion_isomorphism,
-    weighted_equal,
-)
+from .igusa.invariants import igusa_vector, weighted_equal
 
 
 class GlueError(ValueError):
@@ -168,77 +162,6 @@ def glue_p10(inp: GlueInput) -> GlueResult:
 
 
 # ---------------------------------------------------------------------------
-# torsion graphs
-# ---------------------------------------------------------------------------
-
-NOT_A_GRAPH = "NotAGraph"
-
-
-@dataclass(frozen=True)
-class TorsionGraph:
-    parity: str  # "odd" | "even"
-    pairing: tuple  # pairing[i] = index on E' assigned to index i on E (0-based)
-
-
-def admissible_graphs(parity: str, q_index: int | None = None):
-    """The two torsion graphs compatible with the Galois restriction: the two
-    fixed-point-free 3-cycles in odd degree; in even degree the distinguished
-    pair is pinned and the other two indices are either kept or swapped."""
-    if parity == "odd":
-        return (
-            TorsionGraph("odd", (1, 2, 0)),
-            TorsionGraph("odd", (2, 0, 1)),
-        )
-    if parity == "even":
-        if q_index not in (0, 1, 2):
-            raise ValueError("even parity requires the distinguished index")
-        others = [i for i in range(3) if i != q_index]
-        ident = [0, 1, 2]
-        swapped = list(ident)
-        swapped[others[0]], swapped[others[1]] = (
-            swapped[others[1]],
-            swapped[others[0]],
-        )
-        return (
-            TorsionGraph("even", tuple(ident)),
-            TorsionGraph("even", tuple(swapped)),
-        )
-    raise ValueError("parity must be 'odd' or 'even'")
-
-
-def _klein_add(i, j):
-    """Group law on {0=O, 1, 2, 3} viewed as (Z/2)^2."""
-    if i == j:
-        return 0
-    if i == 0:
-        return j
-    if j == 0:
-        return i
-    return 6 - i - j
-
-
-def alpha_image(graph: TorsionGraph, psi_on_torsion):
-    """Image of a torsion graph under (P, Q) |-> (P, Q + psi(P)).
-
-    ``psi_on_torsion`` maps torsion indices {0..3} of E (0 = identity) to
-    indices of E'; odd-degree isogenies act bijectively, even-degree ones
-    collapse the kernel point.  Returns the image graph, or NOT_A_GRAPH when
-    the image is not the graph of a bijection."""
-    pairs = [(0, 0)] + [(i + 1, graph.pairing[i] + 1) for i in range(3)]
-    image = [(p, _klein_add(q, psi_on_torsion[p])) for (p, q) in pairs]
-    left = [p for p, _ in image]
-    right = [q for _, q in image]
-    if sorted(left) != [0, 1, 2, 3] or sorted(right) != [0, 1, 2, 3]:
-        return NOT_A_GRAPH
-    if image[0] != (0, 0):
-        return NOT_A_GRAPH
-    pairing = [None] * 3
-    for p, q in image[1:]:
-        pairing[p - 1] = q - 1
-    return TorsionGraph(graph.parity, tuple(pairing))
-
-
-# ---------------------------------------------------------------------------
 # end-to-end reconstruction
 # ---------------------------------------------------------------------------
 
@@ -335,11 +258,6 @@ __all__ = [
     "IsomorphismRestrictionError",
     "DegenerateConfigurationError",
     "NonDescendingCurve",
-    "TorsionGraph",
-    "NOT_A_GRAPH",
-    "admissible_graphs",
-    "alpha_image",
     "glue_p10",
-    "inversion_isomorphism",
     "verify_reconstruction",
 ]

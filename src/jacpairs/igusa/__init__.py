@@ -1,27 +1,1 @@
 """Invariants of genus-2 curve models and weighted-projective equality."""
-
-from .invariants import (
-    J_SCALE_EXP,
-    geometric_isomorphism_test,
-    igusa_clebsch,
-    igusa_j,
-    igusa_vector,
-    inversion_isomorphism,
-    j_polynomials_of_sextic_family,
-    r_polynomials,
-    root_difference_oracle,
-    weighted_equal,
-)
-
-__all__ = [
-    "J_SCALE_EXP",
-    "igusa_clebsch",
-    "igusa_j",
-    "igusa_vector",
-    "root_difference_oracle",
-    "weighted_equal",
-    "geometric_isomorphism_test",
-    "inversion_isomorphism",
-    "j_polynomials_of_sextic_family",
-    "r_polynomials",
-]

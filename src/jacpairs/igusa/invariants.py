@@ -273,13 +273,6 @@ def geometric_isomorphism_test(f: Poly, g: Poly) -> bool:
     return weighted_equal(igusa_vector(f), igusa_vector(g), f.ring, geometric=True)
 
 
-def inversion_isomorphism(f: Poly) -> Poly:
-    """The model with reversed coefficients: x^6 f(1/x) (image under
-    x -> 1/x, y -> y/x^3); same weighted Igusa class."""
-    cs = [f.coeff(i) for i in range(7)]
-    return Poly(f.ring, list(reversed(cs)))
-
-
 # -- the distinguishing polynomials in t ---------------------------------------
 
 

@@ -105,6 +105,15 @@ RECORDS = _records()
 OBSTRUCTION_DEGREES = tuple(sorted(RECORDS))
 
 
+def _record(n: int) -> ObstructionRecord:
+    if n not in RECORDS:
+        raise ValueError(
+            f"no obstruction record for degree {n}; recorded degrees: "
+            + ", ".join(map(str, OBSTRUCTION_DEGREES))
+        )
+    return RECORDS[n]
+
+
 # ---------------------------------------------------------------------------
 # square-condition consistency
 # ---------------------------------------------------------------------------
@@ -130,7 +139,7 @@ def square_condition_consistency(n: int) -> dict:
     mod squares, and the even-degree condition is
     y^2 = (j(s) - 1728)(j'(s) - 1728) mod squares.
     """
-    rec = RECORDS[n]
+    rec = _record(n)
     param = x0_jpair(n)
     j, jp = param.j, param.j_prime
     c1728 = Fraction(1728)
@@ -180,14 +189,14 @@ def square_condition_consistency(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_obstruction(n: int, search_bound: int = 1000) -> dict:
+def verify_obstruction(n: int) -> dict:
     """Check the recorded points lie on O_n and corroborate completeness of
-    the recorded list by bounded search (bound 200 for the degree-7
+    the recorded list by bounded search (bound 1000, 200 for the degree-7
     curves).  Finiteness for the genus-3 curves is a recorded assertion; the
     search only confirms no further small points."""
-    rec = RECORDS[n]
+    rec = _record(n)
     points_on = all(rec.curve(P.x) == P.y * P.y for P in rec.points)
-    bound = search_bound if rec.curve.degree == 3 else min(search_bound, 200)
+    bound = 1000 if rec.curve.degree == 3 else 200
     found = odd_degree_point_search(rec.curve, bound)
     recorded = sorted(rec.points, key=lambda P: (P.x, P.y))
     search_matches = found == recorded
@@ -202,12 +211,12 @@ def verify_obstruction(n: int, search_bound: int = 1000) -> dict:
     }
 
 
-def verify_all(search_bound: int = 1000) -> dict:
+def verify_all() -> dict:
     out = {}
     for n in OBSTRUCTION_DEGREES:
         out[n] = {
             "square_condition": square_condition_consistency(n),
-            "points": verify_obstruction(n, search_bound),
+            "points": verify_obstruction(n),
         }
     out["pass"] = all(
         v["square_condition"]["pass"] and v["points"]["pass"]

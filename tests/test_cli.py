@@ -56,6 +56,16 @@ class TestFamily:
         assert captured.out == ""
         assert "0 is not prime" in captured.err
 
+    def test_prime_above_certified_range_is_error(self, capsys):
+        # primality is certified only below 2**64; a larger --p is refused
+        code = run(
+            ["family", "gen", "--family", "deg3", "--t", "3", "--p", str(2**64 + 13)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "certified only below 2**64" in captured.err
+
 
 class TestIgusa:
     SEXTIC = json.dumps(["3", "1", "0", "0", "0", "0", "1"])
@@ -95,6 +105,20 @@ class TestIgusa:
         assert code == 0
         assert payload["equal"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["igusa", "invariants", "--poly", "5"],
+            ["igusa", "invariants", "--poly", "[[1],2,3,4,5,6,7]", "--p", "101"],
+        ],
+    )
+    def test_malformed_poly_is_usage_error(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected")
+
 
 class TestDistinct:
     def test_charp_exit_codes(self, capsys):
@@ -118,6 +142,14 @@ class TestObstruction:
         )
         assert code == 0
         assert payload["points"]["recorded_points"] == 3
+
+    def test_unrecorded_degree_is_usage_error(self, capsys):
+        # 7 is a construction degree, not an obstruction record
+        code = run(["obstruction", "verify", "--degree", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "recorded degrees: 5, 6, 8, 9, 10, 12, 13, 16, 18, 25" in captured.err
 
 
 class TestGlue:

@@ -1,5 +1,5 @@
-"""Tests for Weierstrass models, 2-torsion, the cubic-splitting criterion,
-and bounded rational point search."""
+"""Tests for Weierstrass models, the cubic-splitting criterion, and bounded
+rational point search."""
 from fractions import Fraction
 
 import pytest
@@ -7,13 +7,11 @@ import pytest
 from jacpairs.ellcurve import (
     AffinePoint,
     WeierstrassModel,
-    bounded_point_search,
     curve_discriminant,
     exhaustive_split_scan,
     galois_cubic_split_check,
     j_invariant,
-    on_curve,
-    two_torsion_x,
+    odd_degree_point_search,
 )
 from jacpairs.exact.poly import Poly
 from jacpairs.exact.rings import GF, QQ
@@ -35,23 +33,6 @@ class TestModel:
         # y^2 = x^3 - x has j = 1728; y^2 = x^3 + ax^2 with a != 0 is singular
         E = _model_q(0, -1, 0)
         assert j_invariant(E) == 1728
-
-    def test_two_torsion_split(self):
-        F = GF(11)
-        E = WeierstrassModel.from_coefficients(
-            F, F.zero, F.from_int(10), F.zero
-        )  # x^3 - x
-        K, xs = two_torsion_x(E)
-        assert K is F
-        assert sorted(K.to_str(x) for x in xs) == ["0", "1", "10"]
-
-    def test_two_torsion_extension(self):
-        F = GF(7)
-        # x^3 + x = x(x^2 + 1), x^2 + 1 irreducible mod 7
-        E = WeierstrassModel.from_coefficients(F, F.zero, F.one, F.zero)
-        K, xs = two_torsion_x(E)
-        assert len(xs) == 3
-        assert K is not F
 
 
 class TestSplitCriterion:
@@ -78,16 +59,16 @@ class TestPointSearch:
     def test_two_torsion_points_found(self):
         # y^2 = x(x+2)(x+4): three rational 2-torsion points
         E = _model_q(6, 8, 0)
-        pts = bounded_point_search(E, 50)
+        pts = odd_degree_point_search(E.cubic, 50)
         xs = {P.x for P in pts}
         assert {Fraction(0), Fraction(-2), Fraction(-4)} <= xs
         for P in pts:
-            assert on_curve(E, P)
+            assert P.y * P.y == E.cubic.evaluate(P.x)
 
     def test_nontrivial_point(self):
         # y^2 = x^3 + 1 has (2, 3)
         E = _model_q(0, 0, 1)
-        pts = bounded_point_search(E, 10)
+        pts = odd_degree_point_search(E.cubic, 10)
         assert AffinePoint(Fraction(2), Fraction(3)) in pts
         assert AffinePoint(Fraction(2), Fraction(-3)) in pts
 
@@ -95,5 +76,5 @@ class TestPointSearch:
         # y^2 = x^3 - x contains no affine points besides 2-torsion in a
         # small box (rank 0); the search must confirm that
         E = _model_q(0, -1, 0)
-        pts = bounded_point_search(E, 100)
+        pts = odd_degree_point_search(E.cubic, 100)
         assert {P.x for P in pts} == {Fraction(-1), Fraction(0), Fraction(1)}

@@ -5,13 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacpairs.exact.integers import (
-    factorize,
-    is_perfect_square,
-    is_prime,
-    squarefree_part,
-    trial_division,
-)
+from jacpairs.exact.integers import is_perfect_square, is_prime, trial_division
 from jacpairs.exact.poly import (
     Poly,
     discriminant,
@@ -23,19 +17,16 @@ from jacpairs.exact.poly import (
     squarefree_decomposition,
 )
 from jacpairs.exact import rings
-from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext
+from jacpairs.exact.rings import GF, QQ, ZZ, GFext
 from jacpairs.exact.roots import (
     irreducible_factors,
     roots,
-    roots_in_splitting_field,
     splitting_degrees,
     splitting_field,
 )
 from jacpairs.exact.serialize import (
     element_from_json,
     element_to_json,
-    field_from_json,
-    field_to_json,
     poly_from_json,
     poly_to_json,
 )
@@ -50,17 +41,6 @@ class TestIntegers:
             assert is_prime(p)
         assert not is_prime(571603 * 571603)
 
-    def test_factorize_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randrange(2, 10**12)
-            fac = factorize(n)
-            prod = 1
-            for p, e in fac.items():
-                assert is_prime(p)
-                prod *= p**e
-            assert prod == n
-
     def test_trial_division(self):
         # fully factored: stops early, cofactor 1
         assert trial_division(2**5 * 7 * 571603, 10**6) == ({2: 5, 7: 1, 571603: 1}, 1)
@@ -72,12 +52,6 @@ class TestIntegers:
         big = 1000003 * 1000033
         assert trial_division(-6 * big, 10**6) == ({2: 1, 3: 1}, big)
         assert trial_division(0, 10) == ({}, 0)
-        assert factorize(6 * big) == {2: 1, 3: 1, 1000003: 1, 1000033: 1}
-
-    def test_squarefree_part(self):
-        assert squarefree_part(4 * 9 * 5) == 5
-        assert squarefree_part(1) == 1
-        assert squarefree_part(8) == 2
 
     def test_perfect_square(self):
         for n in range(200):
@@ -97,9 +71,6 @@ class TestRings:
         for x in range(1, 101):
             e = F.from_int(x)
             assert F.is_square(e) == (e in squares)
-            if F.is_square(e):
-                r = F.sqrt(e)
-                assert F.mul(r, r) == e
 
     def test_extension_field_is_field(self):
         for p, m in ((11, 6), (13, 4), (101, 3), (5, 2)):
@@ -179,13 +150,6 @@ class TestModulusSearch:
         finally:
             rings._default_modulus.cache_clear()
         assert 1 <= len(calls) <= 64
-
-    def test_supplied_modulus_is_checked(self):
-        assert ExtField(7, 2, modulus=(1, 0, 1)).modulus == (1, 0, 1)
-        with pytest.raises(ValueError, match="modulus is reducible"):
-            ExtField(7, 2, modulus=(6, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
-        with pytest.raises(ValueError, match="monic"):
-            ExtField(7, 2, modulus=(1, 0, 2))
 
 
 class TestIrreducibility:
@@ -304,7 +268,8 @@ class TestRoots:
         F = GF(11)
         x = Poly.gen(F)
         f = x**3 - Poly.constant(F, F.from_int(2))
-        K, rts = roots_in_splitting_field(f)
+        K, (lifted,) = splitting_field(F, f)
+        rts = roots(lifted)
         assert len(rts) == 3
         for r in rts:
             assert K.mul(K.mul(r, r), r) == K.from_int(2)
@@ -358,10 +323,6 @@ class TestSerialize:
         f = Poly(K, [(1, 2, 3), (0, 4, 0), K.one])
         assert poly_from_json(poly_to_json(f), K) == f
 
-    def test_field_roundtrip(self):
-        for R in (QQ, ZZ, GF(101), GFext(7, 2)):
-            assert field_from_json(field_to_json(R)) == R
-
     def test_element_roundtrip(self):
         K = GFext(11, 2)
         a = (3, 7)
@@ -373,3 +334,16 @@ class TestSerialize:
         assert element_from_json(K, {"p": "7", "degree": 2, "coeffs": ["3"]}) == (3, 0)
         with pytest.raises(ValueError, match="3 coefficients"):
             element_from_json(K, {"p": "7", "degree": 2, "coeffs": ["1", "2", "3"]})
+
+    def test_malformed_json_is_a_value_error(self):
+        # not an array, a nested array as a scalar, a scalar as an
+        # extension-field element: each a ValueError, not a TypeError
+        with pytest.raises(ValueError, match="JSON array"):
+            poly_from_json(5, QQ)
+        for R in (ZZ, QQ, GF(101)):
+            with pytest.raises(ValueError, match="decimal string"):
+                poly_from_json([[1], "2"], R)
+        with pytest.raises(ValueError, match="decimal string"):
+            element_from_json(GF(101), {"p": "101"})
+        with pytest.raises(ValueError, match="an object"):
+            element_from_json(GFext(7, 2), "3")

@@ -9,13 +9,10 @@ from jacpairs.exact.rings import GF, QQ
 from jacpairs.families import (
     FAMILY_IDS,
     X0_DEGREES,
-    cusp_check,
     eval_poly,
     family_identity_check,
-    family_pair,
     family_sextic,
     family_spec,
-    galois_restriction_check,
     symbolic_kappa_check,
     weierstrass_at,
     x0_jpair,
@@ -56,11 +53,6 @@ class TestModularTable:
                 Fraction(20) / s
             )
 
-    def test_cusp_check(self):
-        # s = 0 is a cusp (denominator root); s = 2 is not
-        assert cusp_check(3, Fraction(0)) is False
-        assert cusp_check(3, Fraction(2)) is True
-
 
 class TestSpecialization:
     def test_worked_example(self):
@@ -73,7 +65,9 @@ class TestSpecialization:
         F = GF(101)
         for fid in FAMILY_IDS:
             spec = family_spec(fid)
-            (tw1, c1), (tw2, c2) = family_pair(spec, F, F.from_int(3))
+            t = F.from_int(3)
+            tw1, c1 = family_sextic(spec, F, t)
+            tw2, c2 = family_sextic(spec, F, F.neg(t))
             assert not F.is_zero(discriminant(c1))
             assert not F.is_zero(discriminant(c2))
             assert c2 == c1.substitute_neg() or not F.is_zero(tw2)
@@ -92,26 +86,3 @@ class TestSpecialization:
             for prime in (False, True):
                 E = weierstrass_at(spec, F, s, prime=prime)
                 assert not F.is_zero(discriminant(E.cubic))
-
-
-class TestGaloisRestriction:
-    def test_odd_family_square_disc(self):
-        # the parity-odd restriction: s = t^2 makes the discriminant square
-        spec = family_spec("deg3")
-        # over Q: s = 4 gives a square discriminant, s = 2 does not
-        assert galois_restriction_check(spec, QQ, Fraction(4)) is True
-        assert galois_restriction_check(spec, QQ, Fraction(2)) is False
-        # over F_p the same criterion is the Euler test
-        F = GF(1009)
-        assert galois_restriction_check(spec, F, F.from_int(4)) is True
-
-    def test_even_family_square_ratio(self):
-        spec = family_spec("deg4")
-        # s of t: s = 16 t^2 + 16 always satisfies the even restriction
-        s = eval_poly(spec.s_of_t, QQ, Fraction(3))
-        assert galois_restriction_check(spec, QQ, s) is True
-        F = GF(1009)
-        t = F.from_int(3)
-        assert galois_restriction_check(
-            spec, F, eval_poly(spec.s_of_t, F, t)
-        ) is True

@@ -1,5 +1,5 @@
 """Tests for the 2-torsion gluing: both sextic forms, error taxonomy,
-torsion graphs, and end-to-end reconstruction."""
+and end-to-end reconstruction."""
 import dataclasses
 
 import pytest
@@ -10,14 +10,10 @@ from jacpairs.exact.rings import GF
 from jacpairs.exact.roots import roots
 from jacpairs.families import family_spec
 from jacpairs.glue import (
-    NOT_A_GRAPH,
     DegenerateConfigurationError,
     GlueError,
     GlueInput,
     IsomorphismRestrictionError,
-    TorsionGraph,
-    admissible_graphs,
-    alpha_image,
     glue_p10,
     verify_reconstruction,
 )
@@ -78,44 +74,6 @@ class TestGlue:
         rep = (F.from_int(1), F.from_int(1), F.from_int(2))
         with pytest.raises(GlueError):
             glue_p10(GlueInput(f, g, rep, tuple(roots(g))))
-
-
-class TestGraphs:
-    def test_odd_graphs_are_fixed_point_free(self):
-        g1, g2 = admissible_graphs("odd")
-        for g in (g1, g2):
-            assert all(g.pairing[i] != i for i in range(3))
-        assert g1.pairing != g2.pairing
-
-    def test_even_graphs_pin_distinguished_index(self):
-        for q in range(3):
-            g1, g2 = admissible_graphs("even", q_index=q)
-            assert g1.pairing[q] == q and g2.pairing[q] == q
-            assert g1.pairing != g2.pairing
-
-    def test_even_requires_index(self):
-        with pytest.raises(ValueError):
-            admissible_graphs("even")
-
-    def test_alpha_swaps_odd_graphs(self):
-        # psi relabels torsion so that the two admissible graphs are the
-        # cyclic shifts; alpha maps one to the other
-        g1, g2 = admissible_graphs("odd")
-        psi = (0, 1, 2, 3)
-        assert alpha_image(g1, psi) == g2
-        assert alpha_image(g2, psi) == g1
-
-    def test_alpha_rejects_diagonal(self):
-        diag = TorsionGraph("odd", (0, 1, 2))
-        assert alpha_image(diag, (0, 1, 2, 3)) == NOT_A_GRAPH
-
-    def test_alpha_swaps_even_graphs(self):
-        # even degree: psi kills the kernel point (index 1 here) and sends
-        # the other two to the distinguished image point
-        g1, g2 = admissible_graphs("even", q_index=0)
-        psi = (0, 0, 1, 1)
-        assert alpha_image(g1, psi) == g2
-        assert alpha_image(g2, psi) == g1
 
 
 class TestReconstruction:

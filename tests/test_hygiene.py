@@ -1,0 +1,65 @@
+"""Static checks over the package source: no stale imports, no stale exports.
+
+Every module-level import must be used in its module or listed in its
+``__all__``; every name in ``__all__`` must be defined or imported there.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jacpairs"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _imported_names(tree):
+    """{bound name: line} for the imports at module level."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _used_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_imports_used_and_exports_defined(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = _imported_names(tree)
+    exported = _all_names(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in _used_names(tree) and name not in exported
+    )
+    assert not unused, f"unused imports: {unused}"
+    undefined = sorted(set(exported) - _defined_names(tree) - set(imported))
+    assert not undefined, f"__all__ names neither defined nor imported: {undefined}"
