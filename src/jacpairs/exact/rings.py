@@ -169,7 +169,7 @@ class PrimeField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self.name}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
@@ -225,6 +225,43 @@ def _poly_mulmod(a, b, modulus, p):
             for j in range(m):
                 prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
     return tuple(prod[:m]) if len(prod) >= m else tuple(prod) + (0,) * (m - len(prod))
+
+
+def _poly_invmod(a, modulus, p):
+    """Inverse of a nonzero residue a mod (modulus, p), modulus monic
+    irreducible, by the extended Euclidean algorithm on coefficient lists
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 4).  It tracks only
+    the cofactor of a.  `poly` imports this module, so this is the tuple form
+    of the inverse, not a second `poly.gcd_field`."""
+    m = len(modulus) - 1
+    r0, r1 = list(modulus), list(a)
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [], [1]  # r_i = s_i * a mod modulus
+    while len(r1) > 1:
+        # r0 <- r0 mod r1 in place, q the quotient; then s <- s0 - q * s1
+        inv_lc = pow(r1[-1], -1, p)
+        d1 = len(r1) - 1
+        q = [0] * (len(r0) - d1)
+        for off in range(len(r0) - 1 - d1, -1, -1):
+            c = r0[off + d1] * inv_lc % p
+            if c:
+                q[off] = c
+                for j in range(d1):
+                    r0[off + j] = (r0[off + j] - c * r1[j]) % p
+        del r0[d1:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - qi * sj) % p
+        while s and not s[-1]:
+            s.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s
+    c = pow(r1[0], -1, p)  # gcd is a unit since the modulus is irreducible
+    return tuple(x * c % p for x in s1) + (0,) * (m - len(s1))
 
 
 def _tuple_powmod(a, n, modulus, p):
@@ -342,9 +379,10 @@ class ExtField:
         return _tuple_powmod(a, n, self.modulus, self.p)
 
     def inv(self, a):
+        """a^-1 by the extended Euclidean algorithm against the modulus."""
         if a == self.zero:
             raise ZeroDivisionError(f"inverse of 0 in {self.name}")
-        return self.pow(a, self.order - 2)
+        return _poly_invmod(a, self.modulus, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

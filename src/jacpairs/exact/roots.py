@@ -3,6 +3,14 @@
 Everything here is deterministic: splitting elements are tried in a fixed
 enumeration order, so repeated runs produce identical factor and root
 orderings.
+
+``roots`` over GF(p^m) of a polynomial with coefficients in F_p (every
+polynomial ``splitting_field`` lifts) works by Frobenius orbits: it factors
+over F_p, where the arithmetic is on plain ints, and finds one root of each
+irreducible factor of degree d | m by Cantor-Zassenhaus splitting in
+GF(p^m); the other roots are its images under x -> x^p.  Any other
+polynomial takes the generic path: gcd(x^q - x, f), then equal-degree
+splitting into linear factors.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ from .poly import (
     gcd_field,
     squarefree_decomposition,
 )
-from .rings import GFext, PrimeField
+from .rings import ExtField, GFext, PrimeField
 
 
 def element_sort_key(K, a):
@@ -174,6 +182,37 @@ def irreducible_factors(f: Poly):
     return lead, factors
 
 
+def _one_root(g: Poly):
+    """One root of a squarefree monic g that splits into linear factors over
+    its field: Cantor-Zassenhaus splits, keeping the smaller part each time,
+    until a linear factor is left."""
+    K = g.ring
+    e = (K.order - 1) // 2
+    draws = _splitting_elements(K)
+    while g.degree > 1:
+        u = gcd_field(powmod(next(draws), e, g) - Poly.one(K), g)
+        if 0 < u.degree < g.degree:
+            u = u.monic()
+            v, _ = divmod_field(g, u)
+            g = u if 2 * u.degree <= g.degree else v.monic()
+    return K.neg(g.coeff(0))
+
+
+def _roots_by_orbits(K: ExtField, f: Poly):
+    """Distinct roots in K = GF(p^m) of ``f`` over F_p, unsorted."""
+    out = []
+    for g, _ in irreducible_factors(f)[1]:
+        d = g.degree
+        if d == 1:
+            out.append(K.from_base(-g.coeff(0)))
+        elif K.m % d == 0:  # else g has no root in K
+            r = _one_root(g.map_coeffs(K, K.from_base))
+            for _ in range(d):
+                out.append(r)
+                r = K.frobenius(r)
+    return out
+
+
 def roots(f: Poly):
     """Distinct roots of ``f`` in its own (finite) coefficient field, sorted."""
     K = f.ring
@@ -181,6 +220,12 @@ def roots(f: Poly):
         raise ValueError("roots of the zero polynomial")
     if f.degree == 0:
         return []
+    if isinstance(K, ExtField):
+        base = [K.in_base(c) for c in f.coeffs]
+        if None not in base:
+            out = _roots_by_orbits(K, Poly(K.base, base))
+            out.sort(key=lambda a: element_sort_key(K, a))
+            return out
     q = K.order
     x = Poly.gen(K)
     g = gcd_field(powmod(x, q, f) - x, f).monic()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly
-from .rings import ExtField, IntegerRing, PrimeField, RationalField
+from .rings import ZZ, ExtField, IntegerRing, PrimeField, RationalField
 
 
 def field_to_json(R) -> dict:
@@ -50,9 +50,14 @@ def element_from_json(R, obj):
     if isinstance(R, ExtField):
         if not isinstance(obj, dict):
             raise ValueError(f"expected an object as an element of {R.name}, got {obj!r}")
-        if int(obj["p"]) != R.p or int(obj["degree"]) != R.m:
+        missing = [key for key in ("p", "degree", "coeffs") if key not in obj]
+        if missing:
+            raise ValueError(f"element of {R.name} lacks {', '.join(missing)}")
+        if not isinstance(obj["coeffs"], list):
+            raise ValueError(f"expected a JSON array of coefficients, got {obj['coeffs']!r}")
+        if [element_from_json(ZZ, obj[key]) for key in ("p", "degree")] != [R.p, R.m]:
             raise ValueError("element does not belong to this field")
-        coeffs = [int(c) % R.p for c in obj["coeffs"]]
+        coeffs = [element_from_json(R.base, c) for c in obj["coeffs"]]
         if len(coeffs) > R.m:
             raise ValueError(f"{len(coeffs)} coefficients for an element of {R.name}")
         return tuple(coeffs) + (0,) * (R.m - len(coeffs))

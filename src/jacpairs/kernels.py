@@ -43,7 +43,7 @@ def resultant_mod_p(a_coeffs, b_coeffs, p: int) -> int:
             sign = -sign
     while db > 0:
         # remainder of a modulo b
-        inv = pow(b[db], p - 2, p)
+        inv = pow(b[db], -1, p)
         r = list(a)
         for i in range(da, db - 1, -1):
             coef = r[i] * inv % p
@@ -104,7 +104,7 @@ def resultant_int_crt(a: Poly, b: Poly) -> int:
             continue
         rp = resultant_mod_p([c % p for c in a.coeffs], [c % p for c in b.coeffs], p)
         # CRT combine
-        inv = pow(modulus % p, p - 2, p) if modulus > 1 else 1
+        inv = pow(modulus, -1, p) if modulus > 1 else 1
         if modulus == 1:
             residue, modulus = rp, p
         else:

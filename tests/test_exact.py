@@ -347,3 +347,17 @@ class TestSerialize:
             element_from_json(GF(101), {"p": "101"})
         with pytest.raises(ValueError, match="an object"):
             element_from_json(GFext(7, 2), "3")
+
+    def test_extension_element_shape_is_checked(self):
+        # a missing key or a coefficient string (read character by character
+        # as (1, 2) if it were iterated) is a ValueError, never a KeyError
+        K = GFext(7, 2)
+        for obj in ({"p": "7"}, {"degree": 2, "coeffs": ["1"]}, {"p": "7", "degree": 2}):
+            with pytest.raises(ValueError, match="lacks"):
+                element_from_json(K, obj)
+        with pytest.raises(ValueError, match="JSON array"):
+            element_from_json(K, {"p": "7", "degree": 2, "coeffs": "12"})
+        # a float, boolean or null where a decimal string belongs
+        for obj in ({"p": None, "degree": 2, "coeffs": []}, {"p": "7", "degree": 2, "coeffs": [2.5, True]}):
+            with pytest.raises(ValueError, match="decimal string"):
+                element_from_json(K, obj)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacpairs.exact.poly import Poly, discriminant
+from jacpairs.exact.poly import discriminant
 from jacpairs.exact.rings import GF, QQ
 from jacpairs.families import (
     FAMILY_IDS,

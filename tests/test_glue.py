@@ -10,7 +10,6 @@ from jacpairs.exact.rings import GF
 from jacpairs.exact.roots import roots
 from jacpairs.families import family_spec
 from jacpairs.glue import (
-    DegenerateConfigurationError,
     GlueError,
     GlueInput,
     IsomorphismRestrictionError,

@@ -1,4 +1,5 @@
-"""Static checks over the package source: no stale imports, no stale exports.
+"""Static checks over the package source and the tests: no stale imports,
+no stale exports.
 
 Every module-level import must be used in its module or listed in its
 ``__all__``; every name in ``__all__`` must be defined or imported there.
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jacpairs"
-MODULES = sorted(PACKAGE.rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jacpairs"
+MODULES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -50,7 +52,10 @@ def _used_names(tree):
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+# package modules are named relative to the package, test modules to the root
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE if PACKAGE in p.parents else ROOT))
+)
 def test_imports_used_and_exports_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = _imported_names(tree)

@@ -12,7 +12,6 @@ from jacpairs.families import FAMILY_IDS, eval_poly, family_sextic, family_spec
 from jacpairs.igusa.invariants import (
     geometric_isomorphism_test,
     igusa_clebsch,
-    igusa_j,
     igusa_vector,
     j_polynomials_of_sextic_family,
     root_difference_oracle,

@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from jacpairs.exact.poly import Poly, resultant, resultant_sylvester
 from jacpairs.exact.rings import GF, ZZ
 from jacpairs.kernels import (
