@@ -114,14 +114,14 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     isomorphic to each other and to the recorded representative)."""
     F = GF(p)
     js = [
-        j.map_coeffs(F, partial(_scalar_in, F))
+        j.map_coeffs(F, F.from_int)
         for j in j_polynomials_of_sextic_family(spec.sextic_zt())
     ]
-    numerators = r_numerators(js)
     triple = _BASE_TRIPLE
     j2_gcd = gcd_field(js[0], js[0].substitute_neg())
     if j2_gcd.degree > 0 and all(k in spec.r_denominators for k in _FALLBACK_TRIPLE):
         triple = _FALLBACK_TRIPLE
+    numerators = r_numerators(js, triple)
 
     base = _strip_base(spec, F)
     stripped_report = {}

@@ -85,13 +85,21 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
-def _splitting_elements(K):
+# Each draw splits valid input with probability about 1/2; the most draws
+# one call used over the Tier-1 tests, the benchmark and reproduce was 12.
+_MAX_DRAWS = 1000
+
+
+def _splitting_elements(f: Poly):
     """Deterministic stream of monic polynomials used as splitting
-    candidates.  Coefficients are drawn from a fixed pseudorandom sequence
-    filling every coordinate of the field: structured shifts (e.g. constants
-    in a subfield) can fail to separate roots that are conjugate over that
-    subfield, because the power character is invariant under the matching
-    Frobenius.  The stream is the same on every run."""
+    candidates for ``f``.  Coefficients are drawn from a fixed pseudorandom
+    sequence filling every coordinate of the field: structured shifts (e.g.
+    constants in a subfield) can fail to separate roots that are conjugate
+    over that subfield, because the power character is invariant under the
+    matching Frobenius.  The stream is the same on every run; after
+    ``_MAX_DRAWS`` candidates it raises ``ArithmeticError``, since ``f`` then
+    does not split the way its caller assumed."""
+    K = f.ring
     is_prime_field = isinstance(K, PrimeField)
     state = 0x5EED0F1E1DD15C0D
 
@@ -108,12 +116,16 @@ def _splitting_elements(K):
 
     deg = 1
     n = 0
-    while True:
+    while n < _MAX_DRAWS:
         coeffs = [draw() for _ in range(deg)] + [K.one]
         yield Poly(K, coeffs)
         n += 1
         if n % 64 == 0:
             deg += 1
+    raise ArithmeticError(
+        f"{f!r} did not split in {_MAX_DRAWS} draws: it is not a product of "
+        "distinct irreducibles of the assumed degree"
+    )
 
 
 def equal_degree_factorization(f: Poly, d: int):
@@ -131,7 +143,7 @@ def equal_degree_factorization(f: Poly, d: int):
     e = (q ** d - 1) // 2
     work = [f.monic()]
     done = []
-    gen = _splitting_elements(K)
+    gen = _splitting_elements(f)
     while work:
         h = next(gen)
         nxt = []
@@ -188,7 +200,7 @@ def _one_root(g: Poly):
     until a linear factor is left."""
     K = g.ring
     e = (K.order - 1) // 2
-    draws = _splitting_elements(K)
+    draws = _splitting_elements(g)
     while g.degree > 1:
         u = gcd_field(powmod(next(draws), e, g) - Poly.one(K), g)
         if 0 < u.degree < g.degree:

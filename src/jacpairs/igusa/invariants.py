@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from ..exact.poly import Poly, PolyRing, discriminant, divmod_field
-from ..exact.rings import QQ, ExtField, PrimeField
+from ..exact.rings import QQ, ZZ, ExtField, PrimeField
 from ..exact.roots import roots, splitting_field
 
 from ._clebsch_formulas import I2 as _F2, I4 as _F4, I6 as _F6
@@ -27,8 +27,9 @@ from ._clebsch_formulas import I2 as _F2, I4 as _F4, I6 as _F6
 # least weight-consistent one (s_{2k} = k*e keeps the J8 dependency and the
 # weighted class intact) that clears every 2-power denominator arising from
 # the /8, /96, /576, /4096 conversions on integral input; the worst cases are
-# 2^2, 2^7, 2^10, 2^16, 2^12 for J2..J10, all at most 2^(4k).
-J_SCALE_EXP = (4, 8, 12, 16, 20)
+# 2^2, 2^7, 2^10, 2^16, 2^12 for J2..J10, all at most 2^(4k).  ``igusa_j``
+# computes the scaled values directly, so on a sextic over Z[t] they stay in
+# Z[t].
 
 
 def _check_char(R):
@@ -150,29 +151,30 @@ def root_difference_oracle(f: Poly):
 
 
 def igusa_j(ic, R):
-    """Convert (I2, I4, I6, I10) to the scaled vector (J2, J4, J6, J8, J10)
-    over R (characteristic 0 or > 5): a field, or a ring such as Q[t] in
-    which the divisions by 8, 96, 576, 4 and 4096 are exact."""
+    """Convert (I2, I4, I6, I10) to the scaled vector (J2, J4, J6, J8, J10),
+    each J_{2k} times 2^(4k) (the scaling above), over R: a field of
+    characteristic 0 or > 5, or a ring such as Z[t] in which the divisions
+    by 24, 72 and 4 below must be exact (else ``ArithmeticError``).
+
+    With J2 = I2/8, J4 = (4 J2^2 - I4)/96, J6 = (8 J2^3 - 160 J2 J4 - I6)/576,
+    J8 = (J2 J6 - J4^2)/4 and J10 = I10/4096, the scaled values are
+    j2 = 2 I2, j4 = (j2^2 - 64 I4)/24, j6 = (j2^3 - 20 j2 j4 - 512 I6)/72,
+    j8 = (j2 j6 - j4^2)/4 and j10 = 256 I10."""
     _check_char(R)
     i2, i4, i6, i10 = ic
-    j2 = R.divexact(i2, R.from_int(8))
-    j4 = R.divexact(R.sub(R.mul(R.from_int(4), R.mul(j2, j2)), i4), R.from_int(96))
+    c = R.from_int
+    j2 = R.mul(c(2), i2)
+    j4 = R.divexact(R.sub(R.mul(j2, j2), R.mul(c(64), i4)), c(24))
     j6 = R.divexact(
         R.sub(
-            R.sub(
-                R.mul(R.from_int(8), R.mul(j2, R.mul(j2, j2))),
-                R.mul(R.from_int(160), R.mul(j2, j4)),
-            ),
-            i6,
+            R.sub(R.mul(j2, R.mul(j2, j2)), R.mul(c(20), R.mul(j2, j4))),
+            R.mul(c(512), i6),
         ),
-        R.from_int(576),
+        c(72),
     )
-    j8 = R.divexact(R.sub(R.mul(j2, j6), R.mul(j4, j4)), R.from_int(4))
-    j10 = R.divexact(i10, R.from_int(4096))
-    out = []
-    for jk, e in zip((j2, j4, j6, j8, j10), J_SCALE_EXP):
-        out.append(R.mul(jk, R.from_int(2**e)))
-    return tuple(out)
+    j8 = R.divexact(R.sub(R.mul(j2, j6), R.mul(j4, j4)), c(4))
+    j10 = R.mul(c(256), i10)
+    return (j2, j4, j6, j8, j10)
 
 
 def igusa_vector(f: Poly):
@@ -277,39 +279,57 @@ def geometric_isomorphism_test(f: Poly, g: Poly) -> bool:
 
 
 def j_polynomials_of_sextic_family(sextic_zt) -> tuple:
-    """Scaled J's of a one-parameter sextic with Z[t] coefficients, as exact
-    polynomials in Q[t] (the conversions only divide by constants, so each
-    J_{2k}(t) is a genuine polynomial)."""
-    if not isinstance(sextic_zt.ring, PolyRing):
-        raise TypeError("expected a sextic with polynomial coefficients")
-    ic = [i.map_coeffs(QQ, Fraction) for i in igusa_clebsch(sextic_zt)]
-    return igusa_j(ic, PolyRing(QQ))
+    """Scaled J's of a one-parameter sextic with Z[t] coefficients, as
+    polynomials in Z[t]; ``ArithmeticError`` if one of them has a
+    coefficient that is not an integer."""
+    R = sextic_zt.ring
+    if not (isinstance(R, PolyRing) and R.base is ZZ):
+        raise TypeError("expected a sextic with Z[t] coefficients")
+    ic = igusa_clebsch(sextic_zt)
+    try:
+        return igusa_j(ic, R)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"a scaled J of the family sextic is not in Z[t]: {exc}") from exc
 
 
-def r_numerators(js) -> dict:
-    """Numerators of the weighted differences R2, R3, R5, R23, R35, R25 from
-    the polynomials (J2, J4, J6, J8, J10) in t, over any coefficient field."""
+# R_ab = J_a(t)^x J_b(-t)^y - J_a(-t)^x J_b(t)^y, stored as (a, x, b, y) with
+# J_a the entry of weight 2a.  The second term is the first at -t, so R_ab is
+# P(t) - P(-t) for P = J_a(t)^x J_b(-t)^y.
+_R_FORMULAS = {
+    "R2": (2, 1, 1, 2),
+    "R3": (3, 1, 1, 3),
+    "R5": (5, 1, 1, 5),
+    "R23": (2, 3, 3, 2),
+    "R35": (3, 5, 5, 3),
+    "R25": (5, 2, 2, 5),
+}
+
+
+def r_numerators(js, names) -> dict:
+    """Numerators of the named weighted differences (any of R2, R3, R5, R23,
+    R35, R25) from the polynomials (J2, J4, J6, J8, J10) in t, over the ring
+    the J's lie in; only the named ones are computed."""
     jp = dict(zip((1, 2, 3, 4, 5), js))
-    jn = {k: p.substitute_neg() for k, p in jp.items()}
-    return {
-        "R2": jp[2] * jn[1] ** 2 - jn[2] * jp[1] ** 2,
-        "R3": jp[3] * jn[1] ** 3 - jn[3] * jp[1] ** 3,
-        "R5": jp[5] * jn[1] ** 5 - jn[5] * jp[1] ** 5,
-        "R23": jp[2] ** 3 * jn[3] ** 2 - jn[2] ** 3 * jp[3] ** 2,
-        "R35": jp[3] ** 5 * jn[5] ** 3 - jn[3] ** 5 * jp[5] ** 3,
-        "R25": jp[5] ** 2 * jn[2] ** 5 - jn[5] ** 2 * jp[2] ** 5,
-    }
+    out = {}
+    for name in names:
+        a, x, b, y = _R_FORMULAS[name]
+        prod = jp[a] ** x * jp[b].substitute_neg() ** y
+        out[name] = prod - prod.substitute_neg()
+    return out
 
 
 def r_polynomials(spec) -> dict:
     """The weighted difference polynomials R2, R3, R5 (and, when the family
     supplies denominators for them, the generalized R23, R35, R25) of a
-    one-parameter family: each printed denominator must divide its numerator
-    exactly in Q[t], else an error is raised."""
-    numerators = r_numerators(j_polynomials_of_sextic_family(spec.sextic_zt()))
+    one-parameter family, in Q[t]: the numerators are built in Z[t], and each
+    printed denominator must divide its numerator exactly, else an error is
+    raised."""
+    numerators = r_numerators(
+        j_polynomials_of_sextic_family(spec.sextic_zt()), spec.r_denominators
+    )
     out = {}
     for name, den in spec.r_denominators.items():
-        num = numerators[name]
+        num = numerators[name].map_coeffs(QQ, Fraction)
         denq = den.map_coeffs(QQ, Fraction)
         q, r = divmod_field(num, denq)
         if not r.is_zero():

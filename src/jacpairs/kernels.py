@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .exact.integers import is_prime
 from .exact.poly import Poly
 from .exact.rings import ZZ
 
@@ -71,14 +72,22 @@ def _hadamard_bound(a: Poly, b: Poly) -> int:
     return na**b.degree * nb**a.degree
 
 
-def _primes_30bit():
-    n = 2**30 + 1
-    from .exact.integers import is_prime
+# The primes above 2^30 found so far, in increasing order; ``_crt_primes``
+# extends the list on demand, so each is tested once per process.
+_CRT_PRIMES: list = []
 
+
+def _crt_primes():
+    """The primes above 2^30 in increasing order, an endless stream."""
+    i = 0
     while True:
-        if is_prime(n):
-            yield n
-        n += 2
+        if i == len(_CRT_PRIMES):
+            n = _CRT_PRIMES[-1] + 2 if _CRT_PRIMES else 2**30 + 1
+            while not is_prime(n):
+                n += 2
+            _CRT_PRIMES.append(n)
+        yield _CRT_PRIMES[i]
+        i += 1
 
 
 def resultant_int_crt(a: Poly, b: Poly) -> int:
@@ -99,10 +108,10 @@ def resultant_int_crt(a: Poly, b: Poly) -> int:
     bound = 2 * _hadamard_bound(a, b) + 1
     modulus = 1
     residue = 0
-    for p in _primes_30bit():
+    for p in _crt_primes():
         if a.lc() % p == 0 or b.lc() % p == 0:
             continue
-        rp = resultant_mod_p([c % p for c in a.coeffs], [c % p for c in b.coeffs], p)
+        rp = resultant_mod_p(a.coeffs, b.coeffs, p)
         # CRT combine
         inv = pow(modulus, -1, p) if modulus > 1 else 1
         if modulus == 1:

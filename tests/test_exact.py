@@ -19,6 +19,8 @@ from jacpairs.exact.poly import (
 from jacpairs.exact import rings
 from jacpairs.exact.rings import GF, QQ, ZZ, GFext
 from jacpairs.exact.roots import (
+    _one_root,
+    equal_degree_factorization,
     irreducible_factors,
     roots,
     splitting_degrees,
@@ -311,6 +313,16 @@ class TestRoots:
         x = Poly.gen(F)
         f = (x**2 + Poly.one(F)) * (x**3 + x + Poly.one(F)) * x
         assert irreducible_factors(f) == irreducible_factors(f)
+
+    def test_splitting_stops_on_a_polynomial_that_does_not_split(self):
+        # x^2 + 1 is irreducible over F_7: no draw splits it into linear
+        # factors, so both splitters must give up instead of drawing forever
+        F = GF(7)
+        x = Poly.gen(F)
+        with pytest.raises(ArithmeticError, match="did not split"):
+            _one_root(x**2 + 1)
+        with pytest.raises(ArithmeticError, match="did not split"):
+            equal_degree_factorization(x**2 + 1, 1)
 
 
 class TestSerialize:

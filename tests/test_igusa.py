@@ -1,5 +1,6 @@
 """Property tests for the invariant layer: coefficient formulas against the
 root-difference oracle, invariance laws, weighted equality semantics."""
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,13 +8,16 @@ import pytest
 
 from jacpairs.exact.integers import is_prime
 from jacpairs.exact.poly import Poly, discriminant
-from jacpairs.exact.rings import GF, QQ
+from jacpairs.exact.rings import GF, QQ, ZZ
+from jacpairs.igusa import invariants
 from jacpairs.families import FAMILY_IDS, eval_poly, family_sextic, family_spec
 from jacpairs.igusa.invariants import (
     geometric_isomorphism_test,
     igusa_clebsch,
     igusa_vector,
     j_polynomials_of_sextic_family,
+    r_numerators,
+    r_polynomials,
     root_difference_oracle,
     weighted_equal,
 )
@@ -205,7 +209,7 @@ class TestRationalField:
 class TestFamilyJPolynomials:
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_specialization_matches_igusa_vector(self, fid):
-        # the J's over Q[t], reduced mod p and evaluated at t0, are the J's
+        # the J's over Z[t], reduced mod p and evaluated at t0, are the J's
         # of the family sextic built directly over F_p at t0
         spec = family_spec(fid)
         js = j_polynomials_of_sextic_family(spec.sextic_zt())
@@ -213,3 +217,79 @@ class TestFamilyJPolynomials:
             F = GF(p)
             at_t0 = tuple(eval_poly(j, F, F.from_int(t0)) for j in js)
             assert at_t0 == igusa_vector(family_sextic(spec, F, F.from_int(t0))[1])
+
+    def test_j_polynomials_are_integral(self):
+        js = j_polynomials_of_sextic_family(family_spec("deg7").sextic_zt())
+        assert all(j.ring is ZZ for j in js)
+        assert all(type(c) is int for j in js for c in j.coeffs)
+
+    def test_non_integral_j_is_rejected(self, monkeypatch):
+        # I4 + 1 moves j4 = (j2^2 - 64 I4) / 24 off Z[t]: 64 is not 0 mod 24
+        igusa_clebsch_zt = invariants.igusa_clebsch
+
+        def shifted(f):
+            i2, i4, i6, i10 = igusa_clebsch_zt(f)
+            return i2, i4 + 1, i6, i10
+
+        monkeypatch.setattr(invariants, "igusa_clebsch", shifted)
+        with pytest.raises(ArithmeticError, match="not in Z\\[t\\]"):
+            j_polynomials_of_sextic_family(family_spec("deg3").sextic_zt())
+
+
+R_NAMES = ("R2", "R3", "R5", "R23", "R35", "R25")
+
+
+class TestWeightedDifferences:
+    @pytest.mark.parametrize(
+        "fid,p", [("deg3", 13), ("deg3", 7919), ("deg4", 23), ("deg4", 1009),
+                  ("deg7", 17), ("deg7", 101)],
+    )
+    def test_numerators_over_zt_reduce_to_numerators_over_fp(self, fid, p):
+        js = j_polynomials_of_sextic_family(family_spec(fid).sextic_zt())
+        F = GF(p)
+        over_zt = r_numerators(js, R_NAMES)
+        over_fp = r_numerators([j.map_coeffs(F, F.from_int) for j in js], R_NAMES)
+        assert set(over_fp) == set(R_NAMES)
+        for name in R_NAMES:
+            assert over_zt[name].map_coeffs(F, F.from_int) == over_fp[name]
+
+    def test_only_the_named_numerators(self):
+        js = j_polynomials_of_sextic_family(family_spec("deg4").sextic_zt())
+        full = r_numerators(js, R_NAMES)
+        for names in (("R2", "R3", "R5"), ("R35",), ("R25", "R2"), ()):
+            some = r_numerators(js, names)
+            assert list(some) == list(names)
+            assert all(some[name] == full[name] for name in names)
+
+    def test_numerator_formulas(self):
+        # the six definitions written out, over F_p for speed
+        F = GF(1009)
+        js = j_polynomials_of_sextic_family(family_spec("deg4").sextic_zt())
+        jp = dict(zip((1, 2, 3, 4, 5), (j.map_coeffs(F, F.from_int) for j in js)))
+        jn = {k: j.substitute_neg() for k, j in jp.items()}
+        expected = {
+            "R2": jp[2] * jn[1] ** 2 - jn[2] * jp[1] ** 2,
+            "R3": jp[3] * jn[1] ** 3 - jn[3] * jp[1] ** 3,
+            "R5": jp[5] * jn[1] ** 5 - jn[5] * jp[1] ** 5,
+            "R23": jp[2] ** 3 * jn[3] ** 2 - jn[2] ** 3 * jp[3] ** 2,
+            "R35": jp[3] ** 5 * jn[5] ** 3 - jn[3] ** 5 * jp[5] ** 3,
+            "R25": jp[5] ** 2 * jn[2] ** 5 - jn[5] ** 2 * jp[2] ** 5,
+        }
+        assert r_numerators(list(jp.values()), R_NAMES) == expected
+
+    @pytest.mark.parametrize(
+        "fid,name",
+        [(fid, name) for fid in ("deg3", "deg4", "deg7")
+         for name in family_spec(fid).r_denominators],
+    )
+    def test_every_printed_denominator_is_checked(self, fid, name):
+        # one printed denominator times (t + 1) no longer divides its
+        # numerator, and r_polynomials must say so
+        spec = family_spec(fid)
+        assert set(r_polynomials(spec)) == set(spec.r_denominators)
+        t = Poly.gen(ZZ)
+        dens = dict(spec.r_denominators)
+        dens[name] = dens[name] * (t + 1)
+        wrong = dataclasses.replace(spec, r_denominators=dens)
+        with pytest.raises(ArithmeticError, match=f"{name} numerator not divisible"):
+            r_polynomials(wrong)

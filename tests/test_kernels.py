@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from jacpairs.exact.integers import is_prime
 from jacpairs.exact.poly import Poly, resultant, resultant_sylvester
 from jacpairs.exact.rings import GF, ZZ
+from jacpairs import kernels
 from jacpairs.kernels import (
     kernel_backend,
     resultant_int_crt,
@@ -81,6 +83,19 @@ class TestCRT:
         assert resultant_int_crt(a, b * c) == resultant_int_crt(
             a, b
         ) * resultant_int_crt(a, c)
+
+    def test_prime_stream_is_tested_once_per_process(self, monkeypatch):
+        rng = random.Random(16)
+        a = _rand_zpoly(rng, 12, 10**6)
+        b = _rand_zpoly(rng, 9, 10**6)
+        first = resultant_int_crt(a, b)
+        assert kernels._CRT_PRIMES[0] == 2**30 + 3
+        assert all(is_prime(p) for p in kernels._CRT_PRIMES)
+        assert kernels._CRT_PRIMES == sorted(set(kernels._CRT_PRIMES))
+        calls = []
+        monkeypatch.setattr(kernels, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert resultant_int_crt(a, b) == first
+        assert calls == []
 
     def test_common_root_gives_zero(self):
         x = Poly.gen(ZZ)

@@ -1,12 +1,14 @@
-"""Property tests for GF(p^m) inverses and roots, against Fermat's inverse
-and a brute-force root search.  ``derandomize=True`` draws the same inputs
-on every run."""
+"""Property tests for GF(p^m) inverses, roots and factorizations, against
+Fermat's inverse, a brute-force root search and the product of the factors,
+and for the CRT integer resultant against the Sylvester determinant.
+``derandomize=True`` draws the same inputs on every run."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacpairs.exact.poly import Poly
-from jacpairs.exact.rings import GF, GFext
-from jacpairs.exact.roots import element_sort_key, roots
+from jacpairs.exact.poly import Poly, resultant_sylvester
+from jacpairs.exact.rings import GF, ZZ, GFext
+from jacpairs.exact.roots import element_sort_key, irreducible_factors, roots, splitting_degrees
+from jacpairs.kernels import resultant_int_crt
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -90,3 +92,56 @@ def test_roots_of_base_polynomials_match_brute_force(f):
 @given(ext_polys())
 def test_roots_of_extension_polynomials_match_brute_force(f):
     assert roots(f) == _brute_force_roots(f)
+
+
+@st.composite
+def factored_polys(draw):
+    """A polynomial over GF(p^m): a nonzero constant times random monic
+    factors of degree 1 to 3, each to a power up to 3, so that p = 3 meets a
+    p-th power."""
+    K = draw(st.sampled_from(ROOT_FIELDS))
+    element = st.lists(st.integers(0, K.p - 1), min_size=K.m, max_size=K.m).map(tuple)
+    lead = draw(element.filter(lambda a: a != K.zero))
+    f = Poly.constant(K, lead)
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(1, 3))
+        g = Poly(K, draw(st.lists(element, min_size=d, max_size=d)) + [K.one])
+        f = f * g ** draw(st.integers(1, 3))
+    return f
+
+
+@PROPERTY
+@given(factored_polys())
+def test_irreducible_factors_multiply_back(f):
+    K = f.ring
+    lead, factors = irreducible_factors(f)
+    prod = Poly.constant(K, lead)
+    for g, mult in factors:
+        assert g.lc() == K.one and mult > 0
+        assert splitting_degrees(g) == [g.degree]
+        prod = prod * g**mult
+    assert prod == f
+    assert len({g for g, _ in factors}) == len(factors)
+
+
+@st.composite
+def int_poly_pairs(draw):
+    """Two nonzero integer polynomials of degree 0 to 6 with coefficients
+    in [-60, 60]."""
+    def poly():
+        d = draw(st.integers(0, 6))
+        coeffs = draw(st.lists(st.integers(-60, 60), min_size=d, max_size=d))
+        lead = draw(st.integers(-60, 60).filter(lambda c: c != 0))
+        return Poly(ZZ, coeffs + [lead])
+
+    return poly(), poly()
+
+
+@PROPERTY
+@given(int_poly_pairs())
+# a common root, and a pair whose leading coefficients share a factor
+@example((Poly(ZZ, [-2, 1]) * Poly(ZZ, [3, 0, 1]), Poly(ZZ, [-2, 1]) * Poly(ZZ, [5, 7])))
+@example((Poly(ZZ, [1, 0, 6]), Poly(ZZ, [-1, 4, 0, 9])))
+def test_crt_resultant_is_sylvester_determinant(pair):
+    a, b = pair
+    assert resultant_int_crt(a, b) == resultant_sylvester(a, b)
