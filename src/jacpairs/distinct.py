@@ -38,6 +38,19 @@ from .kernels import resultant_int_crt
 _BASE_TRIPLE = ("R2", "R3", "R5")
 _FALLBACK_TRIPLE = ("R23", "R35", "R25")
 
+# the scaled J's over Z[t] of each family sextic seen so far, keyed by it
+_J_POLYNOMIALS: dict = {}
+
+
+def _family_j_polynomials(spec: FamilySpec) -> tuple:
+    """``j_polynomials_of_sextic_family`` of the family sextic, computed once
+    per sextic."""
+    sextic = spec.sextic_zt()
+    js = _J_POLYNOMIALS.get(sextic)
+    if js is None:
+        js = _J_POLYNOMIALS[sextic] = j_polynomials_of_sextic_family(sextic)
+    return js
+
 
 def prime_support(spec: FamilySpec) -> dict:
     """Primes dividing gcd(Res(R2, R3), Res(R2, R5)) for a family with
@@ -113,10 +126,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     containing them; the two curves there are checked to be geometrically
     isomorphic to each other and to the recorded representative)."""
     F = GF(p)
-    js = [
-        j.map_coeffs(F, F.from_int)
-        for j in j_polynomials_of_sextic_family(spec.sextic_zt())
-    ]
+    js = [j.map_coeffs(F, F.from_int) for j in _family_j_polynomials(spec)]
     triple = _BASE_TRIPLE
     j2_gcd = gcd_field(js[0], js[0].substitute_neg())
     if j2_gcd.degree > 0 and all(k in spec.r_denominators for k in _FALLBACK_TRIPLE):

@@ -19,16 +19,22 @@ from math import gcd as int_gcd
 from .rings import QQ, ZZ
 
 
+def _trim(ring, coeffs):
+    """coeffs without its trailing zeros."""
+    n = len(coeffs)
+    while n > 0 and ring.is_zero(coeffs[n - 1]):
+        n -= 1
+    return coeffs[:n]
+
+
 class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs, *, normalize=True):
         if normalize:
-            coeffs = [ring.from_int(c) if isinstance(c, int) and ring is not ZZ else c for c in coeffs]
-            n = len(coeffs)
-            while n > 0 and ring.is_zero(coeffs[n - 1]):
-                n -= 1
-            coeffs = coeffs[:n]
+            coeffs = _trim(
+                ring, [ring.from_int(c) if isinstance(c, int) and ring is not ZZ else c for c in coeffs]
+            )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -52,6 +58,12 @@ class Poly:
 
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
+
+    @staticmethod
+    def trimmed(ring, coeffs):
+        """A Poly from coefficients that are already canonical ring elements:
+        trailing zeros are dropped and nothing else is done."""
+        return Poly(ring, _trim(ring, coeffs), normalize=False)
 
     @staticmethod
     def zero(ring):
@@ -97,7 +109,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = R.add(out[i], c)
-        return Poly(R, out)
+        return Poly.trimmed(R, out)
 
     __radd__ = __add__
 
@@ -128,7 +140,7 @@ class Poly:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = R.add(out[i + j], R.mul(ai, bj))
-        return Poly(R, out)
+        return Poly.trimmed(R, out)
 
     __rmul__ = __mul__
 
@@ -136,7 +148,7 @@ class Poly:
         R = self.ring
         if R.is_zero(c):
             return Poly.zero(R)
-        return Poly(R, [R.mul(c, a) for a in self.coeffs])
+        return Poly.trimmed(R, [R.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, n):
         if n < 0:
@@ -294,7 +306,7 @@ def divmod_field(a: Poly, b: Poly):
         q[i] = factor
         for j, bj in enumerate(bc):
             rem[i + j] = R.sub(rem[i + j], R.mul(factor, bj))
-    return Poly(R, q), Poly(R, rem)
+    return Poly.trimmed(R, q), Poly.trimmed(R, rem)
 
 
 def divmod_exact_ring(a: Poly, b: Poly):
@@ -319,7 +331,7 @@ def divmod_exact_ring(a: Poly, b: Poly):
         q[i] = factor
         for j, bj in enumerate(bc):
             rem[i + j] = R.sub(rem[i + j], R.mul(factor, bj))
-    return Poly(R, q), Poly(R, rem)
+    return Poly.trimmed(R, q), Poly.trimmed(R, rem)
 
 
 def pseudo_rem(a: Poly, b: Poly):

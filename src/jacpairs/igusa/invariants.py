@@ -7,6 +7,16 @@ Two evaluation paths are provided:
 * the root-difference definitions evaluated in a splitting field
   (``root_difference_oracle``) — an independent cross-check.
 
+The frozen formulas are sums of terms k * prod c_i^e_i in the sextic
+coefficients c_0..c_6.  At import each table becomes a list of term
+supports, (k, [(i, e), ...]) with only the nonzero exponents.  For one
+sextic, ``igusa_clebsch`` builds c_i, c_i^2, ... up to the largest exponent
+any table uses for that i, once per nonzero coefficient; ``_eval_formula``
+then takes each term as a product of table entries and drops every term
+that contains a zero coefficient.  The family sextics are even in x
+(c_1 = c_3 = c_5 = 0), so 15 of the 76 terms remain for them.  One
+evaluator serves every ring: F_p, GF(p^m), Q and Z[t].
+
 The degree-10 invariant is the discriminant of the binary sextic form; a
 degree-5 input is the sextic with one root at infinity, for which that form
 discriminant equals lc^2 times the quintic discriminant.
@@ -37,14 +47,45 @@ def _check_char(R):
         raise ValueError(f"characteristic {R.char} is unsupported")
 
 
-def _eval_formula(formula, cs, R):
+def _supports(formula):
+    """(k, [(i, e), ...]) per term, keeping only the coefficients that occur."""
+    return [(k, [(i, e) for i, e in enumerate(expo) if e]) for k, expo in formula]
+
+
+_S2, _S4, _S6 = (_supports(F) for F in (_F2, _F4, _F6))
+# the largest exponent of c_i in any of the three tables
+_MAX_EXPONENT = [
+    max(expo[i] for formula in (_F2, _F4, _F6) for _, expo in formula) for i in range(7)
+]
+
+
+def _power_table(cs, R):
+    """[1, c, c^2, ..., c^n] for each coefficient c, with n its
+    ``_MAX_EXPONENT``; None for a zero coefficient."""
+    table = []
+    for c, n in zip(cs, _MAX_EXPONENT):
+        if R.is_zero(c):
+            table.append(None)
+            continue
+        row = [R.one, c]
+        for _ in range(n - 1):
+            row.append(R.mul(row[-1], c))
+        table.append(row)
+    return table
+
+
+def _eval_formula(support, powers, R):
+    """Sum of k * prod c_i^e over the terms in which no c_i is zero."""
     total = R.zero
-    for k, expo in formula:
-        term = R.from_int(k)
-        for c, e in zip(cs, expo):
-            for _ in range(e):
-                term = R.mul(term, c)
-        total = R.add(total, term)
+    for k, factors in support:
+        term = None
+        for i, e in factors:
+            row = powers[i]
+            if row is None:
+                break
+            term = row[e] if term is None else R.mul(term, row[e])
+        else:
+            total = R.add(total, R.mul(R.from_int(k), term))
     return total
 
 
@@ -55,10 +96,10 @@ def igusa_clebsch(f: Poly):
     _check_char(R)
     if f.degree not in (5, 6):
         raise ValueError("input must have degree 5 or 6")
-    cs = [f.coeff(i) for i in range(7)]
-    i2 = _eval_formula(_F2, cs, R)
-    i4 = _eval_formula(_F4, cs, R)
-    i6 = _eval_formula(_F6, cs, R)
+    powers = _power_table([f.coeff(i) for i in range(7)], R)
+    i2 = _eval_formula(_S2, powers, R)
+    i4 = _eval_formula(_S4, powers, R)
+    i6 = _eval_formula(_S6, powers, R)
     if f.degree == 6:
         i10 = discriminant(f)
     else:

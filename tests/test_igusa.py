@@ -8,7 +8,7 @@ import pytest
 
 from jacpairs.exact.integers import is_prime
 from jacpairs.exact.poly import Poly, discriminant
-from jacpairs.exact.rings import GF, QQ, ZZ
+from jacpairs.exact.rings import GF, QQ, ZZ, GFext
 from jacpairs.igusa import invariants
 from jacpairs.families import FAMILY_IDS, eval_poly, family_sextic, family_spec
 from jacpairs.igusa.invariants import (
@@ -35,9 +35,13 @@ def _inverted(f):
     return Poly(f.ring, [f.coeff(i) for i in range(6, -1, -1)])
 
 
-def _random_separable(F, rng, degree=6):
+def _random_separable(F, rng, degree=6, zeros=()):
+    """A random separable polynomial of the given degree over F whose
+    coefficients at the indices in ``zeros`` are 0."""
     while True:
-        coeffs = [F.from_int(rng.randrange(F.p)) for _ in range(degree)]
+        coeffs = [
+            F.zero if i in zeros else F.from_int(rng.randrange(F.p)) for i in range(degree)
+        ]
         coeffs.append(F.from_int(rng.randrange(1, F.p)))
         f = Poly(F, coeffs)
         if not F.is_zero(discriminant(f)):
@@ -57,6 +61,21 @@ class TestOracle:
         for _ in range(100):
             F = GF(_random_prime(rng))
             f = _random_separable(F, rng, degree=rng.choice((5, 6)))
+            assert igusa_clebsch(f) == root_difference_oracle(f)
+
+    @pytest.mark.parametrize(
+        "degree,zeros",
+        [(6, (1, 3, 5)), (6, (0,)), (6, (5,)), (5, ()), (5, (1, 3)), (6, (0, 2, 5))],
+        ids=["even", "c0", "c5", "quintic", "quintic-c1-c3", "c0-c2-c5"],
+    )
+    def test_sparse_inputs_match_root_differences(self, degree, zeros):
+        # the evaluator drops every term with a zero coefficient; on sparse
+        # input the surviving terms alone must give the invariants
+        rng = random.Random(f"sparse {degree} {zeros}")
+        for _ in range(30):
+            F = GF(_random_prime(rng, hi=2000))
+            f = _random_separable(F, rng, degree=degree, zeros=zeros)
+            assert all(F.is_zero(f.coeff(i)) for i in zeros)
             assert igusa_clebsch(f) == root_difference_oracle(f)
 
     def test_inseparable_rejected(self):
@@ -210,13 +229,19 @@ class TestFamilyJPolynomials:
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_specialization_matches_igusa_vector(self, fid):
         # the J's over Z[t], reduced mod p and evaluated at t0, are the J's
-        # of the family sextic built directly over F_p at t0
+        # of the family sextic built directly over F_p at t0, and the same
+        # holds at t0 in GF(p^2) outside F_p
         spec = family_spec(fid)
         js = j_polynomials_of_sextic_family(spec.sextic_zt())
         for p, t0 in ((101, 3), (1009, 17), (7919, 1234)):
             F = GF(p)
             at_t0 = tuple(eval_poly(j, F, F.from_int(t0)) for j in js)
             assert at_t0 == igusa_vector(family_sextic(spec, F, F.from_int(t0))[1])
+        for p, t0 in ((13, (2, 5)), (101, (3, 1)), (7919, (1234, 4321))):
+            K = GFext(p, 2)
+            assert K.in_base(t0) is None
+            at_t0 = tuple(eval_poly(j, K, t0) for j in js)
+            assert at_t0 == igusa_vector(family_sextic(spec, K, t0)[1])
 
     def test_j_polynomials_are_integral(self):
         js = j_polynomials_of_sextic_family(family_spec("deg7").sextic_zt())

@@ -1,12 +1,13 @@
 """Property tests for GF(p^m) inverses, roots and factorizations, against
 Fermat's inverse, a brute-force root search and the product of the factors,
-and for the CRT integer resultant against the Sylvester determinant.
-``derandomize=True`` draws the same inputs on every run."""
+for the CRT integer resultant against the Sylvester determinant, for the
+ring axioms of GF(p^m), and for polynomial arithmetic returning canonical
+results.  ``derandomize=True`` draws the same inputs on every run."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacpairs.exact.poly import Poly, resultant_sylvester
-from jacpairs.exact.rings import GF, ZZ, GFext
+from jacpairs.exact.poly import Poly, divmod_exact_ring, divmod_field, resultant_sylvester
+from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext
 from jacpairs.exact.roots import element_sort_key, irreducible_factors, roots, splitting_degrees
 from jacpairs.kernels import resultant_int_crt
 
@@ -145,3 +146,72 @@ def int_poly_pairs(draw):
 def test_crt_resultant_is_sylvester_determinant(pair):
     a, b = pair
     assert resultant_int_crt(a, b) == resultant_sylvester(a, b)
+
+
+@st.composite
+def element_triples(draw):
+    """A field from INV_FIELDS and three of its elements, zero allowed."""
+    K = draw(st.sampled_from(INV_FIELDS))
+    element = st.lists(st.integers(0, K.p - 1), min_size=K.m, max_size=K.m).map(tuple)
+    return K, draw(element), draw(element), draw(element)
+
+
+@PROPERTY
+@given(element_triples())
+def test_extension_field_ring_axioms(case):
+    K, a, b, c = case
+    assert K.mul(a, b) == K.mul(b, a)
+    assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
+    assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
+    assert K.frobenius(K.mul(a, b)) == K.mul(K.frobenius(a), K.frobenius(b))
+
+
+# small characteristics make cancellations of leading terms frequent
+POLY_RINGS = [GF(3), GF(7919), GFext(3, 2), GFext(7919, 3), QQ, ZZ]
+
+
+def _ring_elements(R):
+    if R is ZZ:
+        return st.integers(-3, 3)
+    if R is QQ:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.lists(st.integers(0, R.p - 1), min_size=R.degree, max_size=R.degree).map(
+        lambda digits: tuple(digits) if isinstance(R, ExtField) else digits[0]
+    )
+
+
+@st.composite
+def poly_pairs(draw):
+    """A ring from POLY_RINGS, two polynomials over it of degree up to 5 and
+    one element; the second polynomial shares the first one's top
+    coefficients half of the time, so that a - b loses its leading terms."""
+    R = draw(st.sampled_from(POLY_RINGS))
+    element = _ring_elements(R)
+    a = Poly(R, draw(st.lists(element, max_size=6)))
+    b = Poly(R, draw(st.lists(element, max_size=6)))
+    if draw(st.booleans()):
+        keep = draw(st.integers(0, len(a.coeffs)))
+        low = list(b.coeffs[:keep]) + [R.zero] * (keep - len(b.coeffs))
+        b = Poly(R, low + list(a.coeffs[keep:]))
+    return R, a, b, draw(element)
+
+
+def _is_canonical(r):
+    again = Poly(r.ring, list(r.coeffs))
+    return r == again and [type(c) for c in r.coeffs] == [type(c) for c in again.coeffs]
+
+
+@PROPERTY
+@given(poly_pairs())
+def test_arithmetic_results_are_canonical(case):
+    R, a, b, c = case
+    results = [a + b, a - b, a * b, a.scale(c), (a + b) - b]
+    if not b.is_zero():
+        if R.is_field:
+            results.extend(divmod_field(a, b))
+        elif R.is_one(b.lc()) or R.is_one(R.neg(b.lc())):
+            results.extend(divmod_exact_ring(a, b))
+    for r in results:
+        assert _is_canonical(r)
+    assert (a + b) - b == a
+    assert (a - b) + b == a
