@@ -149,7 +149,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     locus = stripped_polys[triple[0]]
     for name in triple[1:]:
         locus = gcd_field(locus, stripped_polys[name])
-    locus = radical(locus).monic() if locus.degree > 0 else Poly.one(F)
+    locus = radical(locus)
 
     exc = next((e for e in spec.exceptional if e.p == p), None)
     expected = Poly.one(F)
@@ -180,8 +180,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
 
 def _verify_locus_factor(spec, F, fac, exc):
     d = fac.degree
-    K, (fk,) = splitting_field(F, fac)
-    rts = roots(fk)
+    K, (rts,) = splitting_field(F, fac)
     entry = {"factor": str(fac), "root_field_degree": d, "roots": len(rts)}
     ok = len(rts) == d
     rep = None
@@ -215,8 +214,9 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     pair C_t, C_{-t} fails to be distinguished: geometrically, and over the
     base field.  The geometric failures must be exactly the roots of the
     recorded exceptional locus."""
+    F = GF(p)
     if extension_degree == 1:
-        K = GF(p)
+        K = F
     elif extension_degree == 2:
         K = GFext(p, 2)
     else:
@@ -226,8 +226,8 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     locus_roots = set()
     if exc is not None:
         for fac in exc.locus_factors:
-            red = fac.map_coeffs(K, partial(_scalar_in, K))
-            for r in roots(red):
+            red = fac.map_coeffs(F, partial(_scalar_in, F))
+            for r in roots(red, K):
                 locus_roots.add(_key(K, r))
 
     equal_geometric = []

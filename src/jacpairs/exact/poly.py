@@ -583,51 +583,30 @@ def radical(f: Poly) -> Poly:
 def squarefree_decomposition(f: Poly):
     """(squarefree factor, multiplicity) pairs with product f up to lc.
 
-    Yun's algorithm, correct whenever every multiplicity is below the
-    characteristic; a pure p-th power is unwrapped via the inverse
-    Frobenius.  The output is verified against f so a silent failure is
-    impossible.
+    Musser's algorithm, in every characteristic: strip the multiplicities
+    prime to the characteristic one level at a time, then recurse on the
+    leftover p-th power part through the inverse Frobenius (in
+    characteristic 0 nothing is left over).  The output is verified
+    against f so a silent failure is impossible.
     """
     R = f.ring
     f = f.monic()
     if f.degree <= 0:
         return []
-    fprime = f.derivative()
-    if fprime.is_zero():
-        return [(g, m * R.char) for g, m in squarefree_decomposition(_pth_root(f))]
+    c = gcd_field(f, f.derivative())
+    w = divmod_field(f, c)[0]
     out = []
-    if R.char == 0:
-        g = gcd_field(f, fprime)
-        w = divmod_field(f, g)[0]
-        y = divmod_field(fprime, g)[0]
-        z = y - w.derivative()
-        i = 1
-        while w.degree > 0:
-            h = gcd_field(w, z)
-            if h.degree > 0:
-                out.append((h, i))
-            w = divmod_field(w, h)[0]
-            y = divmod_field(z, h)[0]
-            z = y - w.derivative()
-            i += 1
-    else:
-        # positive characteristic: strip the multiplicities prime to p one
-        # level at a time, then recurse on the leftover p-th power part
-        c = gcd_field(f, fprime)
-        w = divmod_field(f, c)[0]
-        i = 1
-        while w.degree > 0:
-            y = gcd_field(w, c)
-            z = divmod_field(w, y)[0]
-            if z.degree > 0:
-                out.append((z, i))
-            w = y
-            c = divmod_field(c, y)[0]
-            i += 1
-        if c.degree > 0:
-            out.extend(
-                (g, m * R.char) for g, m in squarefree_decomposition(_pth_root(c))
-            )
+    i = 1
+    while w.degree > 0:
+        y = gcd_field(w, c)
+        z = divmod_field(w, y)[0]
+        if z.degree > 0:
+            out.append((z, i))
+        w = y
+        c = divmod_field(c, y)[0]
+        i += 1
+    if c.degree > 0:
+        out.extend((g, m * R.char) for g, m in squarefree_decomposition(_pth_root(c)))
     prod = Poly.one(R)
     for h, m in out:
         prod = prod * h**m

@@ -4,13 +4,14 @@ Everything here is deterministic: splitting elements are tried in a fixed
 enumeration order, so repeated runs produce identical factor and root
 orderings.
 
-``roots`` over GF(p^m) of a polynomial with coefficients in F_p (every
-polynomial ``splitting_field`` lifts) works by Frobenius orbits: it factors
-over F_p, where the arithmetic is on plain ints, and finds one root of each
-irreducible factor of degree d | m by Cantor-Zassenhaus splitting in
-GF(p^m); the other roots are its images under x -> x^p.  Any other
-polynomial takes the generic path: gcd(x^q - x, f), then equal-degree
-splitting into linear factors.
+Roots are taken of polynomials over F_p, in F_p or in an extension
+GF(p^m), by one path.  Over F_p, where the arithmetic is on plain ints, the
+polynomial is cut into parts (d, product of its irreducible factors of
+degree d) with d | m, and each part is split into its irreducible factors.
+One root of each factor is found by Cantor-Zassenhaus splitting in GF(p^m);
+the other roots are its images under x -> x^p.  ``roots`` takes the parts
+from gcd(x^(p^m) - x, f); ``splitting_field`` takes them from the
+squarefree and distinct-degree factorization that also gives it m.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .poly import (
     gcd_field,
     squarefree_decomposition,
 )
-from .rings import ExtField, GFext, PrimeField
+from .rings import GFext, PrimeField
 
 
 def element_sort_key(K, a):
@@ -166,6 +167,16 @@ def equal_degree_factorization(f: Poly, d: int):
     return done
 
 
+def _degree_parts(f: Poly):
+    """(d, part, multiplicity) for f over a finite field: ``part`` is the
+    monic product of the degree-``d`` irreducible factors that divide f
+    exactly ``multiplicity`` times.  One squarefree decomposition and one
+    distinct-degree factorization per squarefree factor."""
+    for g, mult in squarefree_decomposition(f.monic()):
+        for d, part in distinct_degree_factorization(g):
+            yield d, part, mult
+
+
 def irreducible_factors(f: Poly):
     """Full factorization over a finite field.
 
@@ -176,14 +187,11 @@ def irreducible_factors(f: Poly):
     K = f.ring
     if f.is_zero():
         raise ValueError("factorization of the zero polynomial")
-    lead = f.lc()
-    if f.degree == 0:
-        return lead, []
-    factors = []
-    for g, mult in squarefree_decomposition(f.monic()):
-        for d, part in distinct_degree_factorization(g):
-            for irr in equal_degree_factorization(part, d):
-                factors.append((irr, mult))
+    factors = [
+        (irr, mult)
+        for d, part, mult in _degree_parts(f)
+        for irr in equal_degree_factorization(part, d)
+    ]
     factors.sort(
         key=lambda fm: (
             fm[0].degree,
@@ -191,7 +199,13 @@ def irreducible_factors(f: Poly):
             fm[1],
         )
     )
-    return lead, factors
+    return f.lc(), factors
+
+
+def splitting_degrees(f: Poly):
+    """Degrees (with multiplicity of distinct factors) of the irreducible
+    factors of ``f`` over its finite coefficient field."""
+    return sorted(d for d, part, _ in _degree_parts(f) for _ in range(part.degree // d))
 
 
 def _one_root(g: Poly):
@@ -210,63 +224,51 @@ def _one_root(g: Poly):
     return K.neg(g.coeff(0))
 
 
-def _roots_by_orbits(K: ExtField, f: Poly):
-    """Distinct roots in K = GF(p^m) of ``f`` over F_p, unsorted."""
+def _roots_of_parts(K, parts):
+    """Sorted roots in K of the parts ``(d, g)`` of a polynomial over F_p,
+    each d dividing the degree of K: g is split over F_p, and each of its
+    irreducible factors gives one root in K and that root's Frobenius orbit."""
     out = []
-    for g, _ in irreducible_factors(f)[1]:
-        d = g.degree
-        if d == 1:
-            out.append(K.from_base(-g.coeff(0)))
-        elif K.m % d == 0:  # else g has no root in K
-            r = _one_root(g.map_coeffs(K, K.from_base))
+    for d, g in parts:
+        for irr in equal_degree_factorization(g, d):
+            if d == 1:
+                out.append(K.from_base(-irr.coeff(0)))
+                continue
+            r = _one_root(irr.map_coeffs(K, K.from_base))
             for _ in range(d):
                 out.append(r)
                 r = K.frobenius(r)
-    return out
-
-
-def roots(f: Poly):
-    """Distinct roots of ``f`` in its own (finite) coefficient field, sorted."""
-    K = f.ring
-    if f.is_zero():
-        raise ValueError("roots of the zero polynomial")
-    if f.degree == 0:
-        return []
-    if isinstance(K, ExtField):
-        base = [K.in_base(c) for c in f.coeffs]
-        if None not in base:
-            out = _roots_by_orbits(K, Poly(K.base, base))
-            out.sort(key=lambda a: element_sort_key(K, a))
-            return out
-    q = K.order
-    x = Poly.gen(K)
-    g = gcd_field(powmod(x, q, f) - x, f).monic()
-    out = []
-    # g is squarefree and splits into linear factors
-    for lin in equal_degree_factorization(g, 1) if g.degree > 0 else []:
-        out.append(K.neg(lin.coeff(0)))
     out.sort(key=lambda a: element_sort_key(K, a))
     return out
 
 
-def splitting_degrees(f: Poly):
-    """Degrees (with multiplicity of distinct factors) of the irreducible
-    factors of ``f`` over its finite coefficient field."""
-    degs = []
-    for g, _ in squarefree_decomposition(f.monic()):
-        for d, part in distinct_degree_factorization(g):
-            degs.extend([d] * (part.degree // d))
-    return sorted(degs)
+def roots(f: Poly, K=None):
+    """Distinct roots in K (default: F_p) of ``f`` over F_p, sorted.  K is
+    F_p or an extension GF(p^m) of it."""
+    F = f.ring
+    if not isinstance(F, PrimeField):
+        raise TypeError("roots needs a polynomial over a prime field")
+    K = F if K is None else K
+    if K.char != F.p:
+        raise TypeError(f"{K!r} does not contain {F!r}")
+    if f.is_zero():
+        raise ValueError("roots of the zero polynomial")
+    x = Poly.gen(F)
+    g = gcd_field(powmod(x, K.order, f) - x, f)
+    if g.degree == 0:
+        return []
+    parts = [(1, g)] if K.degree == 1 else distinct_degree_factorization(g)
+    return _roots_of_parts(K, parts)
 
 
 def splitting_field(F, *polys):
-    """The smallest extension of the prime field F in which every one of
-    ``polys`` (over F) splits, and the polys lifted into it:
-    ``(K, [lifted polys])``.  K is F itself when they all split over F."""
+    """The smallest extension K of the prime field F in which every one of
+    ``polys`` (over F) splits, and the distinct roots of each in K, sorted:
+    ``(K, [roots of each])``.  K is F itself when they all split over F.
+    Each polynomial is factored once, for both m and its roots."""
     if not isinstance(F, PrimeField):
         raise TypeError("expected polynomials over a prime field")
-    m = lcm(*(d for f in polys for d in splitting_degrees(f)))
-    if m == 1:
-        return F, list(polys)
-    K = GFext(F.p, m)
-    return K, [f.map_coeffs(K, K.from_base) for f in polys]
+    parts = [[(d, g) for d, g, _ in _degree_parts(f)] for f in polys]
+    m = lcm(*(d for ps in parts for d, _ in ps))
+    K = F if m == 1 else GFext(F.p, m)
+    return K, [_roots_of_parts(K, ps) for ps in parts]

@@ -17,7 +17,7 @@ from itertools import permutations
 
 from .exact.poly import Poly, discriminant
 from .exact.rings import GF
-from .exact.roots import roots, splitting_field
+from .exact.roots import splitting_field
 from .families import FamilySpec, eval_poly, family_sextic, weierstrass_at
 from .igusa.invariants import igusa_vector, weighted_equal
 
@@ -198,14 +198,13 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
     target = [igusa_vector(c_t), igusa_vector(c_mt)]
     matched = [False, False]
 
-    K, (cf, cg) = splitting_field(F, E.cubic, Ep.cubic)
-    rts_f = roots(cf)
-    rts_g = roots(cg)
+    K, (rts_f, rts_g) = splitting_field(F, E.cubic, Ep.cubic)
     if len(rts_f) != 3 or len(rts_g) != 3:
         raise AssertionError("cubics must be separable")
     frob_f = [rts_f.index(K.frobenius(r)) for r in rts_f]
     frob_g = [rts_g.index(K.frobenius(r)) for r in rts_g]
 
+    cf, cg = (c.map_coeffs(K, K.from_base) for c in (E.cubic, Ep.cubic))
     diagnostics = []
     for perm in sorted(permutations(range(3))):
         # Galois equivariance: pairing o frobenius_f = frobenius_g o pairing

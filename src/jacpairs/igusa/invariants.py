@@ -29,7 +29,7 @@ from math import gcd
 
 from ..exact.poly import Poly, PolyRing, discriminant, divmod_field
 from ..exact.rings import QQ, ZZ, ExtField, PrimeField
-from ..exact.roots import roots, splitting_field
+from ..exact.roots import splitting_field
 
 from ._clebsch_formulas import I2 as _F2, I4 as _F4, I6 as _F6
 
@@ -118,11 +118,10 @@ def root_difference_oracle(f: Poly):
     _check_char(f.ring)
     if f.degree not in (5, 6):
         raise ValueError("input must have degree 5 or 6")
-    K, (lift,) = splitting_field(f.ring, f)
-    rts = roots(lift)
+    K, (rts,) = splitting_field(f.ring, f)
     if len(rts) != f.degree:  # a repeated root
         raise ValueError("inseparable input")
-    a = lift.lc()
+    a = K.from_base(f.lc())
 
     # Build the 6x6 table of squared root differences.  A quintic is treated
     # as a sextic with one root at infinity: the binary form is z * G(x, z),

@@ -270,8 +270,7 @@ class TestRoots:
         F = GF(11)
         x = Poly.gen(F)
         f = x**3 - Poly.constant(F, F.from_int(2))
-        K, (lifted,) = splitting_field(F, f)
-        rts = roots(lifted)
+        K, (rts,) = splitting_field(F, f)
         assert len(rts) == 3
         for r in rts:
             assert K.mul(K.mul(r, r), r) == K.from_int(2)
@@ -283,8 +282,8 @@ class TestRoots:
         cubic = x**3 - 2  # 2 is not a cube mod 7
         K, (q, c) = splitting_field(F, quadratic, cubic)
         assert K == GFext(7, 6)
-        assert q == quadratic.map_coeffs(K, K.from_base)
-        assert len(roots(q)) == 2 and len(roots(c)) == 3
+        assert len(q) == 2 and len(c) == 3
+        assert q == roots(quadratic, K) and c == roots(cubic, K)
         assert splitting_field(F, quadratic)[0] == GFext(7, 2)
         assert splitting_field(F, cubic)[0] == GFext(7, 3)
 
@@ -292,9 +291,37 @@ class TestRoots:
         F = GF(7)
         x = Poly.gen(F)
         split = (x - 1) * (x - 2) * (x + 3)
-        K, lifted = splitting_field(F, split, x)
+        K, rts = splitting_field(F, split, x)
         assert K is F
-        assert lifted == [split, x]
+        assert rts == [[1, 2, 4], [0]]
+
+    def test_splitting_field_of_a_repeated_factor(self):
+        F = GF(7)
+        x = Poly.gen(F)
+        f = (x**2 + 1) ** 2 * (x - 1)
+        K, (rts,) = splitting_field(F, f)
+        assert K == GFext(7, 2)
+        assert len(rts) == 3 == len(set(rts))
+        lifted = f.map_coeffs(K, K.from_base)
+        assert all(K.is_zero(lifted(r)) for r in rts)
+
+    def test_splitting_field_of_a_pth_power(self):
+        F = GF(7)
+        x = Poly.gen(F)
+        K, (rts,) = splitting_field(F, (x**2 + 1) ** 7)
+        assert K == GFext(7, 2)
+        assert rts == roots(x**2 + 1, K) and len(rts) == 2
+
+    def test_roots_needs_a_polynomial_over_the_prime_field(self):
+        K = GFext(7, 2)
+        x = Poly.gen(K)
+        with pytest.raises(TypeError):
+            roots(x**2 + Poly.one(K))
+        f = Poly.gen(GF(7)) ** 2 + 1
+        with pytest.raises(TypeError):
+            roots(f, GFext(11, 2))
+        with pytest.raises(TypeError):
+            roots(f, GF(11))
 
     def test_irreducible_factors_reassemble(self):
         rng = random.Random(9)

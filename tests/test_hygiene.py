@@ -1,10 +1,12 @@
 """Static checks over the package source and the tests: no stale imports,
-no stale exports.
+no stale exports, and every package name the benchmark reaches exists.
 
 Every module-level import must be used in its module or listed in its
 ``__all__``; every name in ``__all__`` must be defined or imported there.
 """
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,43 @@ def test_imports_used_and_exports_defined(path):
     assert not unused, f"unused imports: {unused}"
     undefined = sorted(set(exported) - _defined_names(tree) - set(imported))
     assert not undefined, f"__all__ names neither defined nor imported: {undefined}"
+
+
+def _load_by_path(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_exist():
+    """``bench/tracing.py`` wraps these by name: a renamed one crashes a
+    traced benchmark run."""
+    tracing = _load_by_path(ROOT / "bench" / "tracing.py")
+    missing = []
+    for _, modname, attr in tracing.TARGETS:
+        owner = importlib.import_module(modname)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        # a class method must be the class's own, not one it inherits
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append(f"{modname}.{attr}")
+    assert not missing, f"trace targets missing from the package: {missing}"
+
+
+def test_benchmark_selftest_imports_exist():
+    tree = ast.parse((ROOT / "bench" / "selftest.py").read_text())
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jacpairs"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"names bench/selftest.py imports are missing: {missing}"

@@ -1,12 +1,23 @@
 """Property tests for GF(p^m) inverses, roots and factorizations, against
 Fermat's inverse, a brute-force root search and the product of the factors,
-for the CRT integer resultant against the Sylvester determinant, for the
+for the squarefree decomposition over Q, GF(3) and GF(5) against the
+multiplicities a polynomial was built with, for the CRT integer resultant against the Sylvester determinant, for the
 ring axioms of GF(p^m), and for polynomial arithmetic returning canonical
 results.  ``derandomize=True`` draws the same inputs on every run."""
+import itertools
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacpairs.exact.poly import Poly, divmod_exact_ring, divmod_field, resultant_sylvester
+from jacpairs.exact.poly import (
+    Poly,
+    divmod_exact_ring,
+    divmod_field,
+    gcd_field,
+    resultant_sylvester,
+    squarefree_decomposition,
+)
 from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext
 from jacpairs.exact.roots import element_sort_key, irreducible_factors, roots, splitting_degrees
 from jacpairs.kernels import resultant_int_crt
@@ -37,18 +48,18 @@ def test_inverse_is_fermat_inverse(case):
     assert K.mul(a, b) == K.one
 
 
-def _brute_force_roots(f):
-    K = f.ring
+def _brute_force_roots(f, K):
+    lifted = f.map_coeffs(K, K.from_base)
     return sorted(
-        (a for a in K.elements() if K.is_zero(f(a))),
+        (a for a in K.elements() if K.is_zero(lifted(a))),
         key=lambda a: element_sort_key(K, a),
     )
 
 
 @st.composite
 def base_polys(draw):
-    """A polynomial over F_p lifted to GF(p^m): a product of random monic
-    factors of degree 1 to 4, some squared, times a nonzero constant."""
+    """A field K = GF(p^m) and a polynomial over F_p: a product of random
+    monic factors of degree 1 to 4, some squared, times a nonzero constant."""
     K = draw(st.sampled_from(ROOT_FIELDS))
     F = GF(K.p)
     f = Poly.constant(F, draw(st.integers(1, K.p - 1)))
@@ -56,43 +67,20 @@ def base_polys(draw):
         d = draw(st.integers(1, 4))
         g = Poly(F, draw(st.lists(st.integers(0, K.p - 1), min_size=d, max_size=d)) + [1])
         f = f * g ** draw(st.integers(1, 2))
-    return f.map_coeffs(K, K.from_base)
-
-
-@st.composite
-def ext_polys(draw):
-    """A polynomial with coefficients outside F_p: random linear factors in
-    K (repeats allowed) times a random monic cofactor over K."""
-    K = draw(st.sampled_from(ROOT_FIELDS[1:]))
-    element = st.lists(st.integers(0, K.p - 1), min_size=K.m, max_size=K.m).map(tuple)
-    x = Poly.gen(K)
-    f = Poly(K, draw(st.lists(element, min_size=0, max_size=3)) + [K.one])
-    for r in draw(st.lists(element, min_size=0, max_size=4)):
-        f = f * (x - Poly.constant(K, r))
-    return f
-
-
-def _lift(p, m, coeffs):
-    K = GFext(p, m)
-    return Poly(GF(p), coeffs).map_coeffs(K, K.from_base)
+    return f, K
 
 
 @PROPERTY
 @given(base_polys())
 # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) over F_3, squared: repeated
 # quadratics, split in GF(3^2), no roots in GF(3^3)
-@example(_lift(3, 2, [1, 0, 0, 0, 2, 0, 0, 0, 1]))
-@example(_lift(3, 3, [1, 0, 0, 0, 2, 0, 0, 0, 1]))
+@example((Poly(GF(3), [1, 0, 0, 0, 2, 0, 0, 0, 1]), GFext(3, 2)))
+@example((Poly(GF(3), [1, 0, 0, 0, 2, 0, 0, 0, 1]), GFext(3, 3)))
 # x^3 - x - 1 is irreducible over F_3: three conjugate roots in GF(3^3)
-@example(_lift(3, 3, [2, 2, 0, 1]))
-def test_roots_of_base_polynomials_match_brute_force(f):
-    assert roots(f) == _brute_force_roots(f)
-
-
-@PROPERTY
-@given(ext_polys())
-def test_roots_of_extension_polynomials_match_brute_force(f):
-    assert roots(f) == _brute_force_roots(f)
+@example((Poly(GF(3), [2, 2, 0, 1]), GFext(3, 3)))
+def test_roots_of_base_polynomials_match_brute_force(case):
+    f, K = case
+    assert roots(f, K) == _brute_force_roots(f, K)
 
 
 @st.composite
@@ -136,6 +124,50 @@ def int_poly_pairs(draw):
         return Poly(ZZ, coeffs + [lead])
 
     return poly(), poly()
+
+
+def _squarefree_atoms(R):
+    """Pairwise coprime monic irreducibles over R: over GF(p) every linear
+    and quadratic one, over Q the x - a and x^2 + b for small a and b > 0."""
+    x = Poly.gen(R)
+    if R is QQ:
+        return [x - Poly.constant(QQ, Fraction(a, 2)) for a in range(-4, 5)] + [
+            x**2 + Poly.constant(QQ, Fraction(b)) for b in range(1, 5)
+        ]
+    monics = (Poly(R, list(c) + [1]) for d in (1, 2) for c in itertools.product(range(R.p), repeat=d))
+    return [g for g in monics if splitting_degrees(g) == [g.degree]]
+
+
+SQUAREFREE_ATOMS = {R: _squarefree_atoms(R) for R in (QQ, GF(3), GF(5))}
+
+
+@st.composite
+def built_multiplicities(draw):
+    """A field (Q, GF(3) or GF(5)), a nonzero constant times a product of
+    distinct atoms g_i^(e_i) with e_i up to 2p (up to 6 over Q), and the
+    product of the atoms of each multiplicity."""
+    R = draw(st.sampled_from(list(SQUAREFREE_ATOMS)))
+    top = 6 if R is QQ else 2 * R.p
+    atoms = draw(st.lists(st.sampled_from(SQUAREFREE_ATOMS[R]), max_size=4, unique_by=str))
+    f = Poly.constant(R, R.from_int(draw(st.integers(1, 2))))
+    expected = {}
+    for g in atoms:
+        e = draw(st.integers(1, top))
+        f = f * g**e
+        expected[e] = expected.get(e, Poly.one(R)) * g
+    return f, expected
+
+
+@PROPERTY
+@given(built_multiplicities())
+def test_squarefree_decomposition_has_the_built_multiplicities(case):
+    f, expected = case
+    parts = squarefree_decomposition(f)
+    for i, (g, _) in enumerate(parts):
+        assert gcd_field(g, g.derivative()).degree == 0
+        assert all(gcd_field(g, h).degree == 0 for h, _ in parts[i + 1 :])
+    assert {m: g for g, m in parts} == expected
+    assert len(parts) == len(expected)
 
 
 @PROPERTY
