@@ -4,10 +4,11 @@ invariants.
 Over Q the weighted differences R2, R3, R5 have no common root on the valid
 parameter locus, so the pair C_t, C_{-t} is always distinguished; the
 characteristics where this can fail are exactly the primes dividing
-gcd(Res(R2, R3), Res(R2, R5)).  For each such characteristic this module
-recomputes the common zero locus from scratch over F_p, verifies the printed
-exceptional loci and representative curves, and can exhaustively scan all
-valid parameters over F_p or F_{p^2}.
+gcd(Res(R2, R3), Res(R2, R5)), resultants of the primitive Z[t] parts
+taken exactly over Z by the subresultant PRS.  For each such
+characteristic this module recomputes the common zero locus from scratch
+over F_p, verifies the printed exceptional loci and representative curves,
+and can exhaustively scan all valid parameters over F_p or F_{p^2}.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .exact.poly import (
     gcd_field,
     radical,
     rational_poly_to_primitive,
+    resultant,
 )
 from .exact.integers import trial_division
 from .exact.rings import GF, GFext
@@ -33,7 +35,6 @@ from .igusa.invariants import (
     r_polynomials,
     weighted_equal,
 )
-from .kernels import resultant_int_crt
 
 _BASE_TRIPLE = ("R2", "R3", "R5")
 _FALLBACK_TRIPLE = ("R23", "R35", "R25")
@@ -54,7 +55,11 @@ def _family_j_polynomials(spec: FamilySpec) -> tuple:
 
 def prime_support(spec: FamilySpec) -> dict:
     """Primes dividing gcd(Res(R2, R3), Res(R2, R5)) for a family with
-    printed weighted-difference denominators."""
+    printed weighted-difference denominators.
+
+    The resultants are of the primitive Z[t] parts of R2, R3, R5, computed
+    by ``poly.resultant`` over Z (subresultant PRS) and factored by trial
+    division up to 2 * 10^6."""
     if not spec.r_denominators:
         raise ValueError(
             f"family {spec.id!r} has no weighted-difference data"
@@ -63,8 +68,8 @@ def prime_support(spec: FamilySpec) -> dict:
     prim = {}
     for name in _BASE_TRIPLE:
         _, prim[name] = rational_poly_to_primitive(rp[name])
-    res23 = resultant_int_crt(prim["R2"], prim["R3"])
-    res25 = resultant_int_crt(prim["R2"], prim["R5"])
+    res23 = resultant(prim["R2"], prim["R3"])
+    res25 = resultant(prim["R2"], prim["R5"])
     g = int_gcd(res23, res25)
     factors, cofactor = trial_division(g, 2_000_000)
     support = sorted(factors)

@@ -346,28 +346,38 @@ def pseudo_rem(a: Poly, b: Poly):
     rem = list(a.coeffs)
     bc = b.coeffs
     blc = b.lc()
+    monic = R.is_one(blc)
     while len(rem) - 1 >= db and rem:
         lead = rem[-1]
         shift_amt = len(rem) - 1 - db
-        rem = [R.mul(blc, c) for c in rem[:-1]]
+        rem = rem[:-1] if monic else [R.mul(blc, c) for c in rem[:-1]]
         for j in range(db):
             rem[shift_amt + j] = R.sub(rem[shift_amt + j], R.mul(lead, bc[j]))
         while rem and R.is_zero(rem[-1]):
             rem.pop()
         e -= 1
     out = Poly(R, rem, normalize=False)
-    scale = _ring_pow(R, blc, e) if e > 0 else R.one
-    if e > 0:
-        out = out.scale(scale)
+    if e > 0 and not monic:
+        out = out.scale(_ring_pow(R, blc, e))
     return out
 
 
 def gcd_field(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field."""
+    """Monic gcd over a field.
+
+    Over Q this is the primitive PRS in Z[x] (Brown 1971): each remainder is
+    the primitive part of a pseudo-remainder, so no fraction is formed until
+    the last nonzero one is made monic.
+    """
     if not a.ring.is_field:
         raise TypeError("gcd_field requires field coefficients")
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
+    if a.ring is QQ:
+        a, b = rational_poly_to_primitive(a)[1], rational_poly_to_primitive(b)[1]
+        while not b.is_zero():
+            a, b = b, primitive_part_int(pseudo_rem(a, b))[1]
+        return Poly(QQ, [Fraction(c, a.lc()) for c in a.coeffs], normalize=False)
     while not b.is_zero():
         a, b = b, divmod_field(a, b)[1]
     return a.monic()

@@ -110,3 +110,32 @@ def test_benchmark_selftest_imports_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"names bench/selftest.py imports are missing: {missing}"
+
+
+def _imported_modules(path, tree):
+    """Dotted names of the modules a package module imports, relative
+    imports resolved, ``from pkg import mod`` counted as ``pkg.mod``."""
+    package = path.relative_to(PACKAGE.parent).parent.parts
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + (tuple(node.module.split(".")) if node.module else ()))
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_only_the_benchmark_reaches_kernels():
+    """The package's one resultant over Z is ``exact.poly.resultant``;
+    ``kernels`` holds only names the benchmark calls, so no other package
+    module may import it."""
+    offenders = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "kernels.py"
+        and "jacpairs.kernels" in _imported_modules(path, ast.parse(path.read_text()))
+    ]
+    assert not offenders, f"modules importing jacpairs.kernels: {offenders}"

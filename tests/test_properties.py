@@ -1,9 +1,11 @@
 """Property tests for GF(p^m) inverses, roots and factorizations, against
 Fermat's inverse, a brute-force root search and the product of the factors,
 for the squarefree decomposition over Q, GF(3) and GF(5) against the
-multiplicities a polynomial was built with, for the CRT integer resultant against the Sylvester determinant, for the
-ring axioms of GF(p^m), and for polynomial arithmetic returning canonical
-results.  ``derandomize=True`` draws the same inputs on every run."""
+multiplicities a polynomial was built with, for the integer resultant
+against the Sylvester determinant, for the gcd over Q against Euclid on
+``Fraction`` coefficients, for the ring axioms of GF(p^m), and for
+polynomial arithmetic returning canonical results.  ``derandomize=True``
+draws the same inputs on every run."""
 import itertools
 from fractions import Fraction
 
@@ -15,12 +17,12 @@ from jacpairs.exact.poly import (
     divmod_exact_ring,
     divmod_field,
     gcd_field,
+    resultant,
     resultant_sylvester,
     squarefree_decomposition,
 )
 from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext
 from jacpairs.exact.roots import element_sort_key, irreducible_factors, roots, splitting_degrees
-from jacpairs.kernels import resultant_int_crt
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -177,7 +179,62 @@ def test_squarefree_decomposition_has_the_built_multiplicities(case):
 @example((Poly(ZZ, [1, 0, 6]), Poly(ZZ, [-1, 4, 0, 9])))
 def test_crt_resultant_is_sylvester_determinant(pair):
     a, b = pair
-    assert resultant_int_crt(a, b) == resultant_sylvester(a, b)
+    assert resultant(a, b) == resultant_sylvester(a, b)
+
+
+@st.composite
+def rational_gcd_pairs(draw):
+    """Two polynomials over Q sharing a factor: each a rational constant
+    times the shared factor times its own factors, every factor non-monic
+    with rational coefficients; a quarter of the time one operand is zero
+    or a nonzero constant instead."""
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    nonzero = coeff.filter(lambda c: c != 0)
+
+    def factor():
+        d = draw(st.integers(1, 3))
+        return Poly(QQ, draw(st.lists(coeff, min_size=d, max_size=d)) + [draw(nonzero)])
+
+    def product(n):
+        f = Poly.constant(QQ, draw(nonzero))
+        for _ in range(n):
+            f = f * factor()
+        return f
+
+    shared = product(draw(st.integers(0, 2)))
+    a = shared * product(draw(st.integers(0, 2)))
+    b = shared * product(draw(st.integers(0, 2)))
+    swap = draw(st.sampled_from(["none", "none", "none", "zero", "constant"]))
+    if swap != "none":
+        other = Poly.zero(QQ) if swap == "zero" else Poly.constant(QQ, draw(nonzero))
+        a, b = (other, b) if draw(st.booleans()) else (a, other)
+    return a, b
+
+
+def _euclid_over_fractions(a, b):
+    """The monic gcd by Euclid on lists of Fraction coefficients, low to high."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+@PROPERTY
+@given(rational_gcd_pairs())
+# the content of the operands must not reach the result
+@example((Poly(QQ, [Fraction(3, 2), Fraction(3)]), Poly(QQ, [Fraction(-4, 7), Fraction(-8, 7)])))
+def test_rational_gcd_is_euclid_over_fractions(pair):
+    a, b = pair
+    g = gcd_field(a, b)
+    assert list(g.coeffs) == _euclid_over_fractions(a, b)
+    assert g.lc() == 1 and all(type(c) is Fraction for c in g.coeffs)
+    assert divmod_field(a, g)[1].is_zero() and divmod_field(b, g)[1].is_zero()
 
 
 @st.composite
