@@ -130,6 +130,8 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     recorded exceptional locus at p (roots found in the smallest field
     containing them; the two curves there are checked to be geometrically
     isomorphic to each other and to the recorded representative)."""
+    if p <= 5:
+        raise ValueError("p > 5 required")
     F = GF(p)
     js = [j.map_coeffs(F, F.from_int) for j in _family_j_polynomials(spec)]
     triple = _BASE_TRIPLE
@@ -219,6 +221,8 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     pair C_t, C_{-t} fails to be distinguished: geometrically, and over the
     base field.  The geometric failures must be exactly the roots of the
     recorded exceptional locus."""
+    if p <= 5:
+        raise ValueError("p > 5 required")
     F = GF(p)
     if extension_degree == 1:
         K = F

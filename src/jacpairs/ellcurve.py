@@ -20,7 +20,8 @@ from .exact.roots import roots
 
 
 class WeierstrassModel:
-    """y^2 = cubic(x) with cubic a monic degree-3 polynomial over a field."""
+    """y^2 = cubic(x) with cubic a monic degree-3 polynomial over a field,
+    or over Q[s] for a family of models with polynomial coefficients."""
 
     __slots__ = ("cubic",)
 
@@ -59,17 +60,16 @@ def curve_discriminant(E: WeierstrassModel):
     return R.mul(R.from_int(16), discriminant(E.cubic))
 
 
-def j_invariant(E: WeierstrassModel):
-    """j = c4^3 / Delta for y^2 = x^3 + a2 x^2 + a4 x + a6
-    (c4 = 16 a2^2 - 48 a4)."""
+def j_pair(E: WeierstrassModel):
+    """(c4^3, Delta), the numerator and denominator of j = c4^3 / Delta for
+    y^2 = x^3 + a2 x^2 + a4 x + a6 (c4 = 16 a2^2 - 48 a4).  The pair needs
+    no division, so it serves over a ring such as Q[s]; Delta is nonzero
+    since the model is nonsingular."""
     R = E.ring
-    delta = curve_discriminant(E)
-    if R.is_zero(delta):
-        raise ZeroDivisionError("singular model has no j-invariant")
     a2 = E.cubic.coeff(2)
     a4 = E.cubic.coeff(1)
     c4 = R.sub(R.mul(R.from_int(16), R.mul(a2, a2)), R.mul(R.from_int(48), a4))
-    return R.div(R.mul(c4, R.mul(c4, c4)), delta)
+    return R.mul(c4, R.mul(c4, c4)), curve_discriminant(E)
 
 
 def galois_cubic_split_check(f: Poly):

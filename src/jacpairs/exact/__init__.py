@@ -1,1 +1,1 @@
-"""Exact arithmetic: integers, finite fields, polynomials, rational functions."""
+"""Exact arithmetic: integers, rationals, finite fields and polynomials."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .rings import QQ, ZZ
+from .rings import QQ, ZZ, ring_pow
 
 
 def _trim(ring, coeffs):
@@ -358,7 +358,7 @@ def pseudo_rem(a: Poly, b: Poly):
         e -= 1
     out = Poly(R, rem, normalize=False)
     if e > 0 and not monic:
-        out = out.scale(_ring_pow(R, blc, e))
+        out = out.scale(ring_pow(R, blc, e))
     return out
 
 
@@ -427,30 +427,18 @@ def _resultant_field_euclid(a: Poly, b: Poly):
     while True:
         if b.degree == 0:
             if a.degree > 0:
-                res = R.mul(res, _ring_pow(R, b.lc(), a.degree))
+                res = R.mul(res, ring_pow(R, b.lc(), a.degree))
             break
         r = divmod_field(a, b)[1]
         if r.is_zero():
             return R.zero
         if (a.degree * b.degree) % 2:
             sign = -sign
-        res = R.mul(res, _ring_pow(R, b.lc(), a.degree - r.degree))
+        res = R.mul(res, ring_pow(R, b.lc(), a.degree - r.degree))
         a, b = b, r
     if sign < 0:
         res = R.neg(res)
     return res
-
-
-def _ring_pow(R, a, n):
-    out = R.one
-    base = a
-    while n:
-        if n & 1:
-            out = R.mul(out, base)
-        n >>= 1
-        if n:
-            base = R.mul(base, base)
-    return out
 
 
 def _resultant_subresultant(a: Poly, b: Poly):
@@ -471,14 +459,14 @@ def _resultant_subresultant(a: Poly, b: Poly):
         if r.is_zero():
             return R.zero
         a = b
-        denom = R.mul(g, _ring_pow(R, h, delta))
+        denom = R.mul(g, ring_pow(R, h, delta))
         b = Poly(R, [R.divexact(c, denom) for c in r.coeffs], normalize=False)
         g = a.lc()
         if delta > 0:
-            h = R.divexact(_ring_pow(R, g, delta), _ring_pow(R, h, delta - 1))
+            h = R.divexact(ring_pow(R, g, delta), ring_pow(R, h, delta - 1))
     # b is a nonzero constant here
     d = a.degree
-    res = R.divexact(_ring_pow(R, b.lc(), d), _ring_pow(R, h, d - 1))
+    res = R.divexact(ring_pow(R, b.lc(), d), ring_pow(R, h, d - 1))
     return R.neg(res) if sign < 0 else res
 
 
@@ -494,9 +482,9 @@ def resultant(a: Poly, b: Poly):
     if a.degree == 0 and b.degree == 0:
         return R.one
     if a.degree == 0:
-        return _ring_pow(R, a.lc(), b.degree)
+        return ring_pow(R, a.lc(), b.degree)
     if b.degree == 0:
-        return _ring_pow(R, b.lc(), a.degree)
+        return ring_pow(R, b.lc(), a.degree)
     if R.is_field:
         return _resultant_field_euclid(a, b)
     return _resultant_subresultant(a, b)
@@ -513,9 +501,9 @@ def resultant_sylvester(a: Poly, b: Poly):
     if n < 0 or m < 0:
         raise ValueError("resultant of the zero polynomial is undefined")
     if n == 0:
-        return _ring_pow(R, a.lc(), m)
+        return ring_pow(R, a.lc(), m)
     if m == 0:
-        return _ring_pow(R, b.lc(), n)
+        return ring_pow(R, b.lc(), n)
     size = n + m
     M = [[R.zero] * size for _ in range(size)]
     for i in range(m):
@@ -637,7 +625,7 @@ def _pth_root(f: Poly) -> Poly:
     for i in range(0, f.degree + 1, p):
         c = f.coeff(i)
         # inverse Frobenius: c^(q/p)
-        coeffs.append(_ring_pow(R, c, q // p))
+        coeffs.append(ring_pow(R, c, q // p))
     for i in range(f.degree + 1):
         if i % p and not R.is_zero(f.coeff(i)):
             raise ArithmeticError("polynomial is not a p-th power")

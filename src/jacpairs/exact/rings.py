@@ -264,17 +264,26 @@ def _poly_invmod(a, modulus, p):
     return tuple(x * c % p for x in s1) + (0,) * (m - len(s1))
 
 
-def _tuple_powmod(a, n, modulus, p):
-    m = len(modulus) - 1
-    result = (1,) + (0,) * (m - 1)
+def ring_pow(R, a, n):
+    """a^n in the ring R for n >= 0, by square-and-multiply."""
+    out = R.one
     base = a
     while n:
         if n & 1:
-            result = _poly_mulmod(result, base, modulus, p)
+            out = R.mul(out, base)
         n >>= 1
         if n:
-            base = _poly_mulmod(base, base, modulus, p)
-    return result
+            base = R.mul(base, base)
+    return out
+
+
+def _digits(n, p, m):
+    """The m base-p digits of n, least significant first."""
+    out = []
+    for _ in range(m):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
 
 
 def _is_irreducible(coeffs, p):
@@ -310,12 +319,7 @@ def _default_modulus(p: int, m: int) -> tuple:
         return (0, 1)
     start = 0 if _has_irreducible_binomial(p, m) else p
     for n in range(start, p**m):
-        digits = []
-        k = n
-        for _ in range(m):
-            digits.append(k % p)
-            k //= p
-        cand = tuple(digits) + (1,)
+        cand = _digits(n, p, m) + (1,)
         if cand[0] != 0 and _is_irreducible(cand, p):
             return cand
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -376,7 +380,7 @@ class ExtField:
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        return _tuple_powmod(a, n, self.modulus, self.p)
+        return ring_pow(self, a, n)
 
     def inv(self, a):
         """a^-1 by the extended Euclidean algorithm against the modulus."""
@@ -404,12 +408,7 @@ class ExtField:
     def elements(self):
         p, m = self.p, self.m
         for n in range(self.order):
-            digits = []
-            k = n
-            for _ in range(m):
-                digits.append(k % p)
-                k //= p
-            yield tuple(digits)
+            yield _digits(n, p, m)
 
     def to_str(self, a):
         return "[" + ",".join(str(c) for c in a) + "]"

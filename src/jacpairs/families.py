@@ -1,22 +1,24 @@
 """The four one-parameter families of genus-2 curve pairs and the table of
 rational parameterizations of cyclic isogenies they are built from.
 
-Each :class:`FamilySpec` is pure data: the two Weierstrass models over Q(s),
+Each :class:`FamilySpec` is pure data: the two Weierstrass models over Q[s],
 their closed-form discriminants and j-invariants, the substitution s(t)
 imposed by the Galois restriction, the twisted sextic family C_t, the
 validity locus, the symbolic kappa/gamma identities, the printed denominators
 of the weighted difference polynomials, and the exceptional characteristic
-data.  The operations verify the identities exactly and evaluate the family
-at concrete parameter values over Q or a finite field.
+data.  Every fraction in the data is a (numerator, denominator) pair of
+polynomials, and the identities are checked exactly by cross-multiplication
+over Q[s] and Z[t]: a/b = c/d in Q(s) exactly when a*d = b*c in Q[s].  The
+operations also evaluate the family at concrete parameter values over Q or
+a finite field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ellcurve import WeierstrassModel, curve_discriminant, j_invariant
+from .ellcurve import WeierstrassModel, j_pair
 from .exact.poly import Poly, PolyRing, discriminant
-from .exact.ratfunc import FunctionField, RationalFunction
 from .exact.rings import QQ, ZZ
 
 # generators used throughout the data below
@@ -24,9 +26,7 @@ _S = Poly.gen(QQ)  # s, coefficient parameter of the isogeny families
 _T = Poly.gen(ZZ)  # t, parameter of the sextic families (integer coefficients)
 _TQ = Poly.gen(QQ)  # t over Q, for substitutions with fractional scaling
 _RZT = PolyRing(ZZ)  # Z[t], coefficient ring of the family sextics
-
-_FT = FunctionField(QQ, "t")
-_FS = FunctionField(QQ, "s")
+_RQS = PolyRing(QQ)  # Q[s], coefficient ring of the family Weierstrass models
 
 
 def _quarter(c: int) -> Fraction:
@@ -42,15 +42,6 @@ def _xpoly(*coeffs) -> Poly:
     return Poly(_RZT, out)
 
 
-def _rf(num, den=None) -> RationalFunction:
-    """Rational function in Q(t) from Z[t] (or Q[t]) polynomial data."""
-    num_q = num.map_coeffs(QQ, Fraction) if num.ring is ZZ else num
-    if den is None:
-        return RationalFunction.from_poly(num_q)
-    den_q = den.map_coeffs(QQ, Fraction) if den.ring is ZZ else den
-    return RationalFunction(num_q, den_q)
-
-
 # ---------------------------------------------------------------------------
 # rational parameterizations of cyclic isogenies (genus-zero degrees)
 # ---------------------------------------------------------------------------
@@ -58,9 +49,12 @@ def _rf(num, den=None) -> RationalFunction:
 
 @dataclass(frozen=True)
 class X0Param:
+    """j and j' as (numerator, denominator) pairs over Q[s], each in lowest
+    terms with a monic denominator."""
+
     n: int
-    j: RationalFunction
-    j_prime: RationalFunction
+    j: tuple
+    j_prime: tuple
 
 
 def _x0_table():
@@ -293,10 +287,9 @@ def _x0_table():
     }
     out = {}
     for n, ((jn, jd), (jpn, jpd)) in rows.items():
-        jn = jn if isinstance(jn, Poly) else Poly.constant(QQ, Fraction(jn))
         jd = jd if isinstance(jd, Poly) else Poly.constant(QQ, Fraction(jd))
         jpd = jpd if isinstance(jpd, Poly) else Poly.constant(QQ, Fraction(jpd))
-        out[n] = X0Param(n, RationalFunction(jn, jd), RationalFunction(jpn, jpd))
+        out[n] = X0Param(n, (jn, jd), (jpn, jpd))
     return out
 
 
@@ -334,16 +327,18 @@ class ExceptionalCase:
 @dataclass(frozen=True)
 class KappaHalf:
     """Printed symbolic data of one half (t or -t) of a family's gluing:
-    the elementary symmetric functions of the three gamma ratios, the scalar
+    the elementary symmetric functions e1, e2, e3 of the three gamma ratios,
+    as numerators over Z[t] of the shared denominator e_den, the scalar
     kappa, and the prefactor multiplying the family sextic in the expanded
-    product."""
+    product, both as (numerator, denominator) pairs over Z[t]."""
 
-    e1: RationalFunction
-    e2: RationalFunction
-    e3: RationalFunction
-    kappa: RationalFunction
+    e1: Poly
+    e2: Poly
+    e3: Poly
+    e_den: Poly
+    kappa: tuple
     kappa_correction: int  # integer unit fixing the printed kappa (1 = as printed)
-    prefactor: RationalFunction
+    prefactor: tuple
 
 
 @dataclass(frozen=True)
@@ -425,21 +420,24 @@ def _build_deg3() -> FamilySpec:
         16 * t**3,
     )
     base = (t**2 + 3) ** 21 * (t**2 + 27) ** 8
+    e_den = 16 * t
     plain = KappaHalf(
-        e1=_rf(t**4 - 8 * t**3 + 42 * t**2 - 144 * t - 243, 16 * t),
-        e2=_rf(-(t**4 + 16 * t**3 - 126 * t**2 + 648 * t - 2187), 16 * t),
-        e3=_rf(t**2),
-        kappa=_rf(base * t**9 * (t**2 - 8 * t + 27) ** 3, _T * 0 + 2**10),
+        e1=t**4 - 8 * t**3 + 42 * t**2 - 144 * t - 243,
+        e2=-(t**4 + 16 * t**3 - 126 * t**2 + 648 * t - 2187),
+        e3=t**2 * e_den,
+        e_den=e_den,
+        kappa=(base * t**9 * (t**2 - 8 * t + 27) ** 3, 2**10),
         kappa_correction=16,
-        prefactor=_rf(base * t**8 * (t**2 - 8 * t + 27) ** 3, _T * 0 + 2**10),
+        prefactor=(base * t**8 * (t**2 - 8 * t + 27) ** 3, 2**10),
     )
     tilde = KappaHalf(
-        e1=_rf(-(t**4 + 8 * t**3 + 42 * t**2 + 144 * t - 243), 16 * t),
-        e2=_rf(t**4 - 16 * t**3 - 126 * t**2 - 648 * t - 2187, 16 * t),
-        e3=_rf(t**2),
-        kappa=_rf(-base * t**9 * (t**2 + 8 * t + 27) ** 3, _T * 0 + 2**10),
+        e1=-(t**4 + 8 * t**3 + 42 * t**2 + 144 * t - 243),
+        e2=t**4 - 16 * t**3 - 126 * t**2 - 648 * t - 2187,
+        e3=t**2 * e_den,
+        e_den=e_den,
+        kappa=(-base * t**9 * (t**2 + 8 * t + 27) ** 3, 2**10),
         kappa_correction=16,
-        prefactor=_rf(base * t**8 * (t**2 + 8 * t + 27) ** 3, _T * 0 + 2**10),
+        prefactor=(base * t**8 * (t**2 + 8 * t + 27) ** 3, 2**10),
     )
     tail = (t**2 + 243) * (t**2 + 3)
     return FamilySpec(
@@ -498,29 +496,29 @@ def _build_deg4() -> FamilySpec:
     s, t = _S, _T
     sigma = -8 * (2 * t**4 - 4 * t**3 + 5 * t**2 - 4 * t + 2)
     sigma_tilde = -8 * (2 * t**4 + 4 * t**3 + 5 * t**2 + 4 * t + 2)
-    g32 = _rf(-4 * Poly.one(ZZ), t)
-    g32_tilde = _rf(4 * Poly.one(ZZ), t)
-    prod = _rf(16 * t**4)
+    # the printed g32 = -4/t (4/t for the tilde half), written over the
+    # shared denominator t: e1 = g32 + sigma, e2 = prod + g32 sigma and
+    # e3 = g32 prod, each times t
+    g32, g32_tilde = -4, 4
+    prod = 16 * t**4
     base = (t**2 + 1) ** 25
     plain = KappaHalf(
-        e1=g32 + _rf(sigma),
-        e2=prod + g32 * _rf(sigma),
+        e1=g32 + sigma * t,
+        e2=prod * t + g32 * sigma,
         e3=g32 * prod,
-        kappa=_rf(-(2**172) * t**11 * (t - 1) ** 3 * base * (t**2 - t + 1) ** 3),
+        e_den=t,
+        kappa=(-(2**172) * t**11 * (t - 1) ** 3 * base * (t**2 - t + 1) ** 3, 1),
         kappa_correction=1,
-        prefactor=_rf(
-            (2**172) * t**10 * (t - 1) ** 3 * base * (t**2 - t + 1) ** 3
-        ),
+        prefactor=((2**172) * t**10 * (t - 1) ** 3 * base * (t**2 - t + 1) ** 3, 1),
     )
     tilde = KappaHalf(
-        e1=g32_tilde + _rf(sigma_tilde),
-        e2=prod + g32_tilde * _rf(sigma_tilde),
+        e1=g32_tilde + sigma_tilde * t,
+        e2=prod * t + g32_tilde * sigma_tilde,
         e3=g32_tilde * prod,
-        kappa=_rf(-(2**172) * t**11 * (t + 1) ** 3 * base * (t**2 + t + 1) ** 3),
+        e_den=t,
+        kappa=(-(2**172) * t**11 * (t + 1) ** 3 * base * (t**2 + t + 1) ** 3, 1),
         kappa_correction=1,
-        prefactor=_rf(
-            -(2**172) * t**10 * (t + 1) ** 3 * base * (t**2 + t + 1) ** 3
-        ),
+        prefactor=(-(2**172) * t**10 * (t + 1) ** 3 * base * (t**2 + t + 1) ** 3, 1),
     )
     tail = (t**2 + 1) * (2 * t**2 + 1) * (t**2 + 2)
     tail_no1 = (2 * t**2 + 1) * (t**2 + 2)
@@ -639,69 +637,60 @@ def _build_deg7() -> FamilySpec:
     shared = (t**2 - t + 7) ** 8 * (t**2 + t + 7) ** 8 * (t**4 + 5 * t**2 + 1) ** 21
     plain_fac = (t**2 - 5 * t + 7) ** 3 * (t**2 - 3 * t + 7) ** 3 * shared
     tilde_fac = (t**2 + 5 * t + 7) ** 3 * (t**2 + 3 * t + 7) ** 3 * shared
+    e_den = 16 * t
     plain = KappaHalf(
-        e1=_rf(
+        e1=t**8
+        - 8 * t**7
+        + 38 * t**6
+        - 128 * t**5
+        + 327 * t**4
+        - 640 * t**3
+        + 910 * t**2
+        - 784 * t
+        - 343,
+        e2=-(
             t**8
-            - 8 * t**7
-            + 38 * t**6
-            - 128 * t**5
-            + 327 * t**4
-            - 640 * t**3
-            + 910 * t**2
-            - 784 * t
-            - 343,
-            16 * t,
+            + 16 * t**7
+            - 130 * t**6
+            + 640 * t**5
+            - 2289 * t**4
+            + 6272 * t**3
+            - 13034 * t**2
+            + 19208 * t
+            - 16807
         ),
-        e2=_rf(
-            -(
-                t**8
-                + 16 * t**7
-                - 130 * t**6
-                + 640 * t**5
-                - 2289 * t**4
-                + 6272 * t**3
-                - 13034 * t**2
-                + 19208 * t
-                - 16807
-            ),
-            16 * t,
-        ),
-        e3=_rf(t**6),
-        kappa=_rf(t**17 * plain_fac, _T * 0 + 2**10),
+        e3=t**6 * e_den,
+        e_den=e_den,
+        kappa=(t**17 * plain_fac, 2**10),
         kappa_correction=16,
-        prefactor=_rf(t**16 * plain_fac, _T * 0 + 2**10),
+        prefactor=(t**16 * plain_fac, 2**10),
     )
     tilde = KappaHalf(
-        e1=_rf(
-            -(
-                t**8
-                + 8 * t**7
-                + 38 * t**6
-                + 128 * t**5
-                + 327 * t**4
-                + 640 * t**3
-                + 910 * t**2
-                + 784 * t
-                - 343
-            ),
-            16 * t,
-        ),
-        e2=_rf(
+        e1=-(
             t**8
-            - 16 * t**7
-            - 130 * t**6
-            - 640 * t**5
-            - 2289 * t**4
-            - 6272 * t**3
-            - 13034 * t**2
-            - 19208 * t
-            - 16807,
-            16 * t,
+            + 8 * t**7
+            + 38 * t**6
+            + 128 * t**5
+            + 327 * t**4
+            + 640 * t**3
+            + 910 * t**2
+            + 784 * t
+            - 343
         ),
-        e3=_rf(t**6),
-        kappa=_rf(-(t**17) * tilde_fac, _T * 0 + 2**10),
+        e2=t**8
+        - 16 * t**7
+        - 130 * t**6
+        - 640 * t**5
+        - 2289 * t**4
+        - 6272 * t**3
+        - 13034 * t**2
+        - 19208 * t
+        - 16807,
+        e3=t**6 * e_den,
+        e_den=e_den,
+        kappa=(-(t**17) * tilde_fac, 2**10),
         kappa_correction=16,
-        prefactor=_rf(t**16 * tilde_fac, _T * 0 + 2**10),
+        prefactor=(t**16 * tilde_fac, 2**10),
     )
     tail = (t**2 + 7) * (t**4 + 5 * t**2 + 1) * (t**4 + 245 * t**2 + 2401)
     return FamilySpec(
@@ -835,32 +824,30 @@ def family_sextic(spec: FamilySpec, field, t_value):
 # ---------------------------------------------------------------------------
 
 
-def _fs_model(model) -> WeierstrassModel:
-    a2, a4, a6 = (_FS.from_poly(c) for c in model)
-    return WeierstrassModel.from_coefficients(_FS, a2, a4, a6)
-
-
 def family_identity_check(spec: FamilySpec) -> dict:
-    """Exact verification over Q(s) of the discriminant and j-invariant
-    closed forms of both Weierstrass models; returns per-identity booleans."""
+    """Exact verification over Q[s] of the discriminant and j-invariant
+    closed forms of both Weierstrass models: Delta as a polynomial, and
+    j = jn/jd as c4^3 * jd == jn * Delta.  Returns per-identity booleans."""
     report = {}
-    for tag, model, delta, jpair in (
+    for tag, model, delta, (jn, jd) in (
         ("E", spec.e_model, spec.delta_s, spec.j_s),
         ("Eprime", spec.eprime_model, spec.delta_prime_s, spec.j_prime_s),
     ):
-        E = _fs_model(model)
-        report[f"delta_{tag}"] = curve_discriminant(E) == _FS.from_poly(delta)
-        jn, jd = jpair
-        expected = RationalFunction(jn, jd)
-        report[f"j_{tag}"] = j_invariant(E) == expected
+        E = WeierstrassModel.from_coefficients(_RQS, *model)
+        c4_cubed, disc = j_pair(E)
+        report[f"delta_{tag}"] = disc == delta
+        report[f"j_{tag}"] = c4_cubed * jd == jn * disc
     report["pass"] = all(report.values())
     return report
 
 
 def symbolic_kappa_check(spec: FamilySpec) -> dict:
-    """Exact verification over Q(t) that, for each half of the family, the
-    product kappa*(e3 x^6 - e2 x^4 + e1 x^2 - 1) equals the prefactor times
-    the family sextic (at t for the plain half, at -t for the other)."""
+    """Exact verification that, for each half of the family, the product
+    kappa*(e3 x^6 - e2 x^4 + e1 x^2 - 1) equals the prefactor times the
+    family sextic (at t for the plain half, at -t for the other).  With
+    kappa = kn/kd, prefactor = pn/pd and e_i over e_den, the identity is
+    checked cleared of denominators, in Z[t][x]:
+    kn kc pd (e3 x^6 - e2 x^4 + e1 x^2 - e_den) == pn kd e_den C(+-t)."""
     if spec.kappa_halves is None:
         raise ValueError(f"family {spec.id} carries no symbolic kappa data")
     sextic = spec.sextic_zt()
@@ -869,24 +856,12 @@ def symbolic_kappa_check(spec: FamilySpec) -> dict:
         ("plain", spec.kappa_halves[0], False),
         ("tilde", spec.kappa_halves[1], True),
     ):
-        kappa = half.kappa * _FT.from_int(half.kappa_correction)
-        assembled = Poly(
-            _FT,
-            [
-                -kappa,
-                _FT.zero,
-                kappa * half.e1,
-                _FT.zero,
-                -(kappa * half.e2),
-                _FT.zero,
-                kappa * half.e3,
-            ],
-        )
-        target_coeffs = []
-        for c in sextic.coeffs:
-            cz = c.substitute_neg() if negate else c
-            target_coeffs.append(half.prefactor * _FT.from_poly(cz.map_coeffs(QQ, Fraction)))
-        target = Poly(_FT, target_coeffs)
-        report[name] = assembled == target
+        (kn, kd), (pn, pd) = half.kappa, half.prefactor
+        assembled = _xpoly(-half.e_den, 0, half.e1, 0, -half.e2, 0, half.e3)
+        target = sextic
+        if negate:
+            target = Poly(_RZT, [c.substitute_neg() for c in sextic.coeffs])
+        left = assembled.scale(kn * half.kappa_correction * pd)
+        report[name] = left == target.scale(pn * kd * half.e_den)
     report["pass"] = all(report[k] for k in ("plain", "tilde"))
     return report

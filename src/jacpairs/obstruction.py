@@ -144,10 +144,10 @@ def square_condition_consistency(n: int) -> dict:
     j, jp = param.j, param.j_prime
     c1728 = Fraction(1728)
 
-    def shifted_mod_squares(rf):
-        num = rf.num - rf.den.scale(c1728)
-        _, num_z = rational_poly_to_primitive(num)
-        _, den_z = rational_poly_to_primitive(rf.den)
+    def shifted_mod_squares(pair):
+        num, den = pair
+        _, num_z = rational_poly_to_primitive(num - den.scale(c1728))
+        _, den_z = rational_poly_to_primitive(den)
         return _mod_squares_of_rational(num_z, den_z)
 
     poly1, c1 = shifted_mod_squares(j)

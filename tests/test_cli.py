@@ -1,9 +1,6 @@
 """CLI surface tests: grammar, JSON schemas, exit codes."""
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -134,6 +131,21 @@ class TestDistinct:
         )
         assert code == 0 and payload["match"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distinct", "charp", "--family", "deg3", "--p", "3"],
+            ["distinct", "charp", "--family", "deg3", "--p", "5"],
+            ["distinct", "scan", "--family", "deg3", "--p", "5"],
+        ],
+    )
+    def test_small_characteristic_is_usage_error(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: p > 5 required\n"
+
 
 class TestObstruction:
     def test_verify(self, capsys):
@@ -177,21 +189,3 @@ class TestUsage:
         assert code == 0
         out = capsys.readouterr().out
         assert "560" in out
-
-
-def test_import_keeps_int_str_limit():
-    # importing the package must not change interpreter-wide state; only the
-    # command-line entry point raises the int<->str conversion limit
-    code = (
-        "import sys; before = sys.get_int_max_str_digits(); "
-        "import jacpairs, jacpairs.distinct; "
-        "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr

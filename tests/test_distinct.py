@@ -44,6 +44,13 @@ class TestCharP:
         assert rep["locus_degree"] == 0
         assert rep["pass"]
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_characteristic_refused(self, p):
+        # the Igusa-Clebsch invariants are out of scope in characteristic
+        # 3 and 5, so no locus may be reported there
+        with pytest.raises(ValueError, match="p > 5 required"):
+            charp_analysis(family_spec("deg3"), p)
+
     def test_fallback_triple_engaged(self):
         # when the reductions of J2(t) and J2(-t) share a factor, the base
         # weighted differences are uninformative and the generalized triple
@@ -95,6 +102,11 @@ class TestFullScan:
         assert rep["match"]
         assert len(rep["equal_geometric"]) == 2
         assert rep["equal_geometric"] == rep["locus_roots"]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_characteristic_refused(self, p):
+        with pytest.raises(ValueError, match="p > 5 required"):
+            full_scan(family_spec("deg3"), p, 1)
 
     def test_scan_rejects_other_extensions(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from jacpairs.ellcurve import (
     curve_discriminant,
     exhaustive_split_scan,
     galois_cubic_split_check,
-    j_invariant,
+    j_pair,
     odd_degree_point_search,
 )
 from jacpairs.exact.poly import Poly
@@ -30,9 +30,11 @@ class TestModel:
         assert curve_discriminant(E) == 64
 
     def test_j_invariant_reference_values(self):
-        # y^2 = x^3 - x has j = 1728; y^2 = x^3 + ax^2 with a != 0 is singular
-        E = _model_q(0, -1, 0)
-        assert j_invariant(E) == 1728
+        # y^2 = x^3 - x has j = 1728, y^2 = x^3 + 1 has j = 0
+        c4_cubed, disc = j_pair(_model_q(0, -1, 0))
+        assert c4_cubed == 1728 * disc
+        c4_cubed, disc = j_pair(_model_q(0, 0, 1))
+        assert c4_cubed == 0 and disc == -432
 
 
 class TestSplitCriterion:

@@ -1,10 +1,11 @@
 """Tests for the four curve-pair families: symbolic identities, modular
 parameterizations, specialization, and validity handling."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from jacpairs.exact.poly import discriminant
+from jacpairs.exact.poly import discriminant, gcd_field
 from jacpairs.exact.rings import GF, QQ
 from jacpairs.families import (
     FAMILY_IDS,
@@ -31,27 +32,96 @@ class TestSymbolicIdentities:
         assert rep["plain"] and rep["tilde"]
 
 
+def _perturb_delta(spec):
+    return replace(spec, delta_s=spec.delta_s + 1)
+
+
+def _perturb_j_numerator(spec):
+    jn, jd = spec.j_s
+    return replace(spec, j_s=(jn + 1, jd))
+
+
+def _perturb_half(spec, index, **changes):
+    halves = list(spec.kappa_halves)
+    halves[index] = replace(halves[index], **changes)
+    return replace(spec, kappa_halves=tuple(halves))
+
+
+def _perturb_e_numerator(spec):
+    return _perturb_half(spec, 0, e2=spec.kappa_halves[0].e2 + 1)
+
+
+def _perturb_kappa_correction(spec):
+    return _perturb_half(spec, 0, kappa_correction=1)
+
+
+def _perturb_prefactor_sign(spec):
+    pn, pd = spec.kappa_halves[1].prefactor
+    return _perturb_half(spec, 1, prefactor=(-pn, pd))
+
+
+class TestNegativeControls:
+    """Each perturbation of the printed data must turn exactly its own
+    report key (and "pass") false."""
+
+    @pytest.mark.parametrize(
+        "perturb,failing",
+        [
+            (_perturb_delta, {"delta_E"}),
+            (_perturb_j_numerator, {"j_E"}),
+        ],
+        ids=["delta", "j_numerator"],
+    )
+    def test_model_identities(self, perturb, failing):
+        rep = family_identity_check(perturb(family_spec("deg7")))
+        assert {k for k, v in rep.items() if not v} == failing | {"pass"}, rep
+
+    @pytest.mark.parametrize(
+        "perturb,failing",
+        [
+            (_perturb_e_numerator, {"plain"}),
+            (_perturb_kappa_correction, {"plain"}),
+            (_perturb_prefactor_sign, {"tilde"}),
+        ],
+        ids=["e_numerator", "kappa_correction", "prefactor_sign"],
+    )
+    def test_kappa_assembly(self, perturb, failing):
+        rep = symbolic_kappa_check(perturb(family_spec("deg3")))
+        assert {k for k, v in rep.items() if not v} == failing | {"pass"}, rep
+
+
 class TestModularTable:
     def test_degrees_present(self):
         assert set(X0_DEGREES) == {
             1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25,
         }
 
+    def test_rows_in_lowest_terms(self):
+        # the obstruction records read these numerators and denominators
+        # as stored, so each pair must be reduced with a monic denominator
+        for n in X0_DEGREES:
+            param = x0_jpair(n)
+            for num, den in (param.j, param.j_prime):
+                assert den.lc() == 1, n
+                assert gcd_field(num, den).degree == 0, n
+
     def test_involution_degree_two(self):
         # j'_2(s) = j_2(4096/s): the dual parameterization is the
         # Atkin-Lehner flip of the original
         param = x0_jpair(2)
         for s in (Fraction(3), Fraction(-7, 2), Fraction(11, 5)):
-            assert param.j_prime.evaluate(s) == param.j.evaluate(
-                Fraction(4096) / s
-            )
+            assert _value(param.j_prime, s) == _value(param.j, Fraction(4096) / s)
 
     def test_involution_degree_ten(self):
         param = x0_jpair(10)
         for s in (Fraction(1), Fraction(5, 3)):
-            assert param.j_prime.evaluate(s) == param.j.evaluate(
-                Fraction(20) / s
-            )
+            assert _value(param.j_prime, s) == _value(param.j, Fraction(20) / s)
+
+
+def _value(pair, s):
+    """num(s) / den(s) for a (numerator, denominator) pair over Q[s]."""
+    num, den = pair
+    return num.evaluate(s) / den.evaluate(s)
 
 
 class TestSpecialization:

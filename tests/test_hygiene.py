@@ -1,5 +1,6 @@
-"""Static checks over the package source and the tests: no stale imports,
-no stale exports, and every package name the benchmark reaches exists.
+"""Checks over the package source and the tests: no stale imports, no
+stale exports, every package name the benchmark reaches exists, and
+importing the package changes no interpreter-wide state.
 
 Every module-level import must be used in its module or listed in its
 ``__all__``; every name in ``__all__`` must be defined or imported there.
@@ -7,6 +8,9 @@ Every module-level import must be used in its module or listed in its
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,3 +143,30 @@ def test_only_the_benchmark_reaches_kernels():
         and "jacpairs.kernels" in _imported_modules(path, ast.parse(path.read_text()))
     ]
     assert not offenders, f"modules importing jacpairs.kernels: {offenders}"
+
+
+def test_import_keeps_interpreter_state():
+    """Importing every package module leaves the recursion limit, the
+    int<->str conversion limit and the warning filters as they were; only
+    the command-line entry point raises the conversion limit."""
+    modules = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        modules.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    code = (
+        "import importlib, sys, warnings\n"
+        "def state():\n"
+        "    return sys.getrecursionlimit(), sys.get_int_max_str_digits(), list(warnings.filters)\n"
+        "before = state()\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "assert state() == before, (before, state())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
