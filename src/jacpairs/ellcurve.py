@@ -21,9 +21,10 @@ from .exact.roots import roots
 
 class WeierstrassModel:
     """y^2 = cubic(x) with cubic a monic degree-3 polynomial over a field,
-    or over Q[s] for a family of models with polynomial coefficients."""
+    or over Q[s] for a family of models with polynomial coefficients.
+    ``disc`` is disc(cubic), computed once to reject singular models."""
 
-    __slots__ = ("cubic",)
+    __slots__ = ("cubic", "disc")
 
     def __init__(self, cubic: Poly):
         if cubic.degree != 3:
@@ -32,7 +33,8 @@ class WeierstrassModel:
         if not R.is_one(cubic.lc()):
             raise ValueError("cubic must be monic")
         self.cubic = cubic
-        if R.is_zero(discriminant(cubic)):
+        self.disc = discriminant(cubic)
+        if R.is_zero(self.disc):
             raise ValueError("singular model (discriminant zero)")
 
     @property
@@ -57,7 +59,7 @@ class AffinePoint:
 def curve_discriminant(E: WeierstrassModel):
     """Delta = 16 * disc(cubic); reproduces the printed Delta_N(s) values."""
     R = E.ring
-    return R.mul(R.from_int(16), discriminant(E.cubic))
+    return R.mul(R.from_int(16), E.disc)
 
 
 def j_pair(E: WeierstrassModel):

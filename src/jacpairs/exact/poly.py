@@ -153,15 +153,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return ring_pow(PolyRing(self.ring), self, n)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -535,11 +527,34 @@ def resultant_sylvester(a: Poly, b: Poly):
 
 
 def discriminant(f: Poly):
-    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f); zero iff f inseparable."""
+    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f); zero iff f inseparable.
+
+    When the characteristic does not divide d = deg f, so that f' has
+    degree d - 1, two closed forms give the same value without a resultant:
+
+    * a cubic a x^3 + b x^2 + c x + e has
+      disc = b^2 c^2 - 4 a c^3 - 4 b^3 e - 27 a^2 e^2 + 18 a b c e;
+    * an even f = g(x^2) of degree 2n >= 4 has
+      disc(f) = (-4)^n g(0) lc(g) disc(g)^2, and disc(g) is again this
+      function (the cubic form for a sextic f).
+
+    The elliptic curves are cubics, and the sextics of the families and of
+    the gluing are even.  Other shapes take the resultant, and so does every
+    f in a characteristic dividing d: there f' loses degree, and the
+    resultant with it differs from the closed forms by a power of lc(f).
+    """
     R = f.ring
     d = f.degree
     if d < 2:
         raise ValueError("discriminant requires degree >= 2")
+    if R.char == 0 or d % R.char:
+        if d == 3:
+            return _cubic_discriminant(R, *f.coeffs)
+        if d >= 4 and d % 2 == 0 and all(R.is_zero(c) for c in f.coeffs[1::2]):
+            g = Poly(R, f.coeffs[::2], normalize=False)
+            dg = discriminant(g)
+            scale = R.mul(R.from_int((-4) ** (d // 2)), R.mul(g.coeffs[0], g.coeffs[-1]))
+            return R.mul(scale, R.mul(dg, dg))
     fp = f.derivative()
     if fp.is_zero():
         return R.zero
@@ -548,6 +563,17 @@ def discriminant(f: Poly):
     if (d * (d - 1) // 2) % 2:
         res = R.neg(res)
     return res
+
+
+def _cubic_discriminant(R, e, c, b, a):
+    """b^2 c^2 - 4 a c^3 - 4 b^3 e - 27 a^2 e^2 + 18 a b c e for the cubic
+    with coefficients (e, c, b, a), low to high."""
+    bc, ae = R.mul(b, c), R.mul(a, e)
+    # bc (bc + 18 ae) - 4 (ac c^2 + b^2 be) - 27 (ae)^2
+    disc = R.mul(bc, R.add(bc, R.mul(R.from_int(18), ae)))
+    fours = R.add(R.mul(R.mul(a, c), R.mul(c, c)), R.mul(R.mul(b, b), R.mul(b, e)))
+    disc = R.sub(disc, R.mul(R.from_int(4), fours))
+    return R.sub(disc, R.mul(R.from_int(27), R.mul(ae, ae)))
 
 
 def squarefree_part(f: Poly) -> Poly:

@@ -19,7 +19,11 @@ evaluator serves every ring: F_p, GF(p^m), Q and Z[t].
 
 The degree-10 invariant is the discriminant of the binary sextic form; a
 degree-5 input is the sextic with one root at infinity, for which that form
-discriminant equals lc^2 times the quintic discriminant.
+discriminant equals lc^2 times the quintic discriminant.  Both come from
+``poly.discriminant``, the one discriminant in the package: an even sextic
+f = g(x^2) gets I10 = -64 g(0) lc(g) disc(g)^2, with the closed form of the
+cubic discriminant for disc(g); any other sextic or quintic gets
++-res(f, f') / lc(f).
 """
 from __future__ import annotations
 

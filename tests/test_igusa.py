@@ -85,6 +85,15 @@ class TestOracle:
         with pytest.raises(ValueError):
             igusa_vector(f)
 
+    @pytest.mark.parametrize("F", [GF(7919), GFext(7919, 2)], ids=["Fp", "Fp2"])
+    def test_even_inseparable_rejected(self, F):
+        # I10 of an even sextic comes from the closed form in disc(g) for
+        # f = g(x^2); a repeated root of g must still make it vanish
+        x = Poly.gen(F)
+        f = (x**2 - 1) ** 2 * (x**2 + 1)
+        with pytest.raises(ValueError, match="inseparable input: I10 = 0"):
+            igusa_clebsch(f)
+
     def test_characteristic_guard(self):
         F = GF(5)
         x = Poly.gen(F)

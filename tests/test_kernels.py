@@ -5,10 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
+from jacpairs.exact.integers import is_prime
 from jacpairs.exact.poly import Poly, resultant, resultant_sylvester
 from jacpairs.exact.rings import GF, QQ, ZZ
 from jacpairs.kernels import (
@@ -24,6 +26,11 @@ def _rand_zpoly(rng, deg, bound):
     coeffs = [rng.randrange(-bound, bound + 1) for _ in range(deg)]
     coeffs.append(rng.randrange(1, bound + 1))
     return Poly.from_ints(ZZ, coeffs)
+
+
+def _norm2(f):
+    """The squared Euclidean norm of the coefficient vector."""
+    return sum(c * c for c in f.coeffs)
 
 
 class TestModP:
@@ -77,12 +84,25 @@ class TestCRT:
             assert resultant(a, b) == resultant_sylvester(a, b)
 
     def test_degree_stress(self):
-        # high degree, small coefficients: verified against the Bareiss
-        # determinant of the 310 x 310 Sylvester matrix
+        # high degree, small coefficients: the 310 x 310 Sylvester determinant
+        # is at most the Hadamard bound H = |a|^deg b |b|^deg a, and it is
+        # fixed by its residues modulo primes whose product exceeds 2H; each
+        # residue is the resultant over GF(q) of the reductions, for q not
+        # dividing either leading coefficient
         rng = random.Random(14)
         a = _rand_zpoly(rng, 250, 9)
         b = _rand_zpoly(rng, 60, 9)
-        assert resultant(a, b) == resultant_sylvester(a, b)
+        res = resultant(a, b)
+        bound = isqrt(_norm2(a) ** b.degree * _norm2(b) ** a.degree)
+        assert abs(res) <= bound
+        q, modulus = 2**31, 1
+        while modulus <= 2 * bound:
+            q -= 1
+            if not is_prime(q) or a.lc() % q == 0 or b.lc() % q == 0:
+                continue
+            F = GF(q)
+            assert res % q == resultant(Poly(F, a.coeffs), Poly(F, b.coeffs))
+            modulus *= q
 
     def test_coefficient_stress(self):
         # huge coefficients (around 10^4 digits): multiplicativity

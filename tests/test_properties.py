@@ -4,7 +4,9 @@ for the squarefree decomposition over Q, GF(3) and GF(5) against the
 multiplicities a polynomial was built with, for the integer resultant
 against the Sylvester determinant, for the gcd over Q against Euclid on
 ``Fraction`` coefficients, for the ring axioms of GF(p^m), and for
-polynomial arithmetic returning canonical results.  ``derandomize=True``
+polynomial arithmetic returning canonical results, and for the closed-form
+discriminants of cubics and even polynomials against the Sylvester
+determinant.  ``derandomize=True``
 draws the same inputs on every run."""
 import itertools
 from fractions import Fraction
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from jacpairs.exact.poly import (
     Poly,
+    PolyRing,
+    discriminant,
     divmod_exact_ring,
     divmod_field,
     gcd_field,
@@ -304,3 +308,72 @@ def test_arithmetic_results_are_canonical(case):
         assert _is_canonical(r)
     assert (a + b) - b == a
     assert (a - b) + b == a
+
+
+# (ring, degree of f): cubics, and even f = g(x^2) of degree 4, 6 and 8;
+# GF(3) divides the degree of a cubic, so there the resultant path runs
+DISC_SHAPES = [(GF(3), 3)] + [
+    (R, d) for R in (GF(7919), GFext(7919, 2), GFext(5, 3), QQ, ZZ, PolyRing(ZZ)) for d in (3, 4, 6, 8)
+]
+
+
+@st.composite
+def discriminant_inputs(draw):
+    """f = g for a cubic g, or f = g(x^2) for g of degree 2, 3 or 4, over a
+    ring from DISC_SHAPES; g has a nonzero leading coefficient and is
+    random, or has g(0) = 0, or has a squared linear factor.  Returns f and
+    whether disc(f) must be 0: for a repeated root, and for g(0) = 0 when f
+    is even (then 0 is a double root of f)."""
+    R, d = draw(st.sampled_from(DISC_SHAPES))
+    if isinstance(R, PolyRing):
+        element = st.lists(st.integers(-3, 3), max_size=3).map(lambda cs: Poly(ZZ, cs))
+    else:
+        element = _ring_elements(R)
+    nonzero = element.filter(lambda c: not R.is_zero(c))
+    n = d if d == 3 else d // 2
+    kind = draw(st.sampled_from(["random", "g(0) = 0", "repeated root"]))
+    if kind == "repeated root":
+        root = Poly(R, [draw(element), R.one])
+        tail = Poly(R, draw(st.lists(element, min_size=n - 2, max_size=n - 2)) + [draw(nonzero)])
+        g = root * root * tail
+    else:
+        g = Poly(R, draw(st.lists(nonzero, min_size=n, max_size=n)) + [draw(nonzero)])
+        if kind == "g(0) = 0":
+            g = Poly(R, [R.zero] + list(g.coeffs[1:]))
+    if d == 3:
+        return g, kind == "repeated root"
+    f = Poly(R, [g.coeff(i // 2) if i % 2 == 0 else R.zero for i in range(d + 1)])
+    return f, kind != "random"
+
+
+def _even_sextic(R, t):
+    """(x^2 - t)(x^2 + 2)((t + 3) x^2 - 1) over R."""
+    x = Poly.gen(R)
+    return (x**2 - t) * (x**2 + 2) * ((t + 3) * x**2 - 1)
+
+
+_ZT = PolyRing(ZZ)
+_T = Poly.constant(_ZT, Poly.gen(ZZ))  # t in Z[t]
+
+
+@PROPERTY
+@given(discriminant_inputs())
+# separable even sextics, where the sign of (-4)^3 shows, and a cubic over Z[t]
+@example((_even_sextic(GF(7919), 5), False))
+@example((_even_sextic(ZZ, 5), False))
+@example((_even_sextic(_ZT, _T), False))
+@example(((_T + 1) * Poly.gen(_ZT) ** 3 - _T * Poly.gen(_ZT) + 5, False))
+# over GF(3), f' of 2x^3 + x^2 + 1 has degree 1, and the cubic form would
+# give lc(f) times the resultant's value
+@example((Poly(GF(3), [1, 0, 1, 2]), False))
+def test_discriminant_is_sylvester_resultant(case):
+    f, vanishes = case
+    R, d, fp = f.ring, f.degree, f.derivative()
+    disc = discriminant(f)
+    if fp.is_zero():  # x^3 + c over GF(3) is a cube
+        assert R.is_zero(disc)
+    else:
+        res = R.divexact(resultant_sylvester(f, fp), f.lc())
+        assert disc == (R.neg(res) if d * (d - 1) // 2 % 2 else res)
+    if vanishes:
+        assert R.is_zero(disc)
