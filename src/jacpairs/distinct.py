@@ -17,8 +17,8 @@ from math import gcd as int_gcd
 
 from .exact.poly import (
     Poly,
-    divmod_field,
     gcd_field,
+    poly_divmod,
     radical,
     rational_poly_to_primitive,
     resultant,
@@ -26,7 +26,7 @@ from .exact.poly import (
 from .exact.integers import trial_division
 from .exact.rings import GF, GFext
 from .exact.roots import irreducible_factors, roots, splitting_field
-from .families import FamilySpec, _scalar_in, eval_poly, family_sextic
+from .families import FamilySpec, curve_pair, scalar_in
 from .igusa.invariants import (
     geometric_isomorphism_test,
     igusa_vector,
@@ -99,7 +99,7 @@ def _strip_factors(num, factor_polys):
     for fac in factor_polys:
         e = 0
         while num.degree >= fac.degree:
-            q, r = divmod_field(num, fac)
+            q, r = poly_divmod(num, fac)
             if not r.is_zero():
                 break
             num, e = q, e + 1
@@ -115,7 +115,7 @@ def _strip_base(spec, F):
     polys = list(spec.r_denominators.values()) or [spec.validity_t]
     seen = []
     for poly in polys:
-        red = poly.map_coeffs(F, partial(_scalar_in, F))
+        red = poly.map_coeffs(F, partial(scalar_in, F))
         if red.is_zero():
             continue
         for fac, _ in irreducible_factors(red)[1]:
@@ -162,7 +162,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     expected = Poly.one(F)
     if exc is not None:
         for fac in exc.locus_factors:
-            expected = expected * fac.map_coeffs(F, partial(_scalar_in, F)).monic()
+            expected = expected * fac.map_coeffs(F, partial(scalar_in, F)).monic()
     locus_match = locus == expected
 
     verification = []
@@ -192,17 +192,13 @@ def _verify_locus_factor(spec, F, fac, exc):
     ok = len(rts) == d
     rep = None
     if exc.representative is not None:
-        rep = exc.representative.map_coeffs(K, partial(_scalar_in, K))
+        rep = exc.representative.map_coeffs(K, partial(scalar_in, K))
     for t0 in rts:
-        validity = K.mul(
-            eval_poly(spec.validity_t, K, t0),
-            eval_poly(spec.validity_t, K, K.neg(t0)),
-        )
-        if K.is_zero(validity):
+        pair = curve_pair(spec, K, t0)
+        if pair is None:
             ok = False
             continue
-        _, c_t = family_sextic(spec, K, t0)
-        _, c_mt = family_sextic(spec, K, K.neg(t0))
+        c_t, c_mt = pair
         same = geometric_isomorphism_test(c_t, c_mt)
         ok = ok and same
         if rep is not None:
@@ -235,7 +231,7 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     locus_roots = set()
     if exc is not None:
         for fac in exc.locus_factors:
-            red = fac.map_coeffs(F, partial(_scalar_in, F))
+            red = fac.map_coeffs(F, partial(scalar_in, F))
             for r in roots(red, K):
                 locus_roots.add(_key(K, r))
 
@@ -250,16 +246,10 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
             continue
         seen.add(kt)
         seen.add(_key(K, K.neg(t)))
-        validity = K.mul(
-            eval_poly(spec.validity_t, K, t),
-            eval_poly(spec.validity_t, K, K.neg(t)),
-        )
-        if K.is_zero(validity):
+        pair = curve_pair(spec, K, t)
+        if pair is None:
             continue
-        _, c_t = family_sextic(spec, K, t)
-        _, c_mt = family_sextic(spec, K, K.neg(t))
-        u = igusa_vector(c_t)
-        v = igusa_vector(c_mt)
+        u, v = (igusa_vector(c) for c in pair)
         if weighted_equal(u, v, K, geometric=True):
             equal_geometric.append(kt)
             equal_geometric.append(_key(K, K.neg(t)))

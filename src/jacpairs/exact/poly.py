@@ -6,6 +6,11 @@ ring is one of the objects from .rings (or a PolyRing, so Z[t][x] style
 nesting works, which is how discriminants of sextics with polynomial
 coefficients are computed).
 
+``Poly(ring, coeffs)`` is the one constructor: the coefficients must
+already be canonical elements of the ring, and trailing zeros are dropped.
+Python ints come in through ``Poly.from_ints`` or as operands of the
+arithmetic operators, which map them into the ring.
+
 Operator overloading is deliberate: family data and Table-1 entries are
 entered as literal formulas, e.g. ``(s + 16)**3``, which keeps the
 transcription honest.
@@ -19,24 +24,16 @@ from math import gcd as int_gcd
 from .rings import QQ, ZZ, ring_pow
 
 
-def _trim(ring, coeffs):
-    """coeffs without its trailing zeros."""
-    n = len(coeffs)
-    while n > 0 and ring.is_zero(coeffs[n - 1]):
-        n -= 1
-    return coeffs[:n]
-
-
 class Poly:
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring, coeffs, *, normalize=True):
-        if normalize:
-            coeffs = _trim(
-                ring, [ring.from_int(c) if isinstance(c, int) and ring is not ZZ else c for c in coeffs]
-            )
+    def __init__(self, ring, coeffs):
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and ring.is_zero(coeffs[n - 1]):
+            n -= 1
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs[:n])
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -60,22 +57,16 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
 
     @staticmethod
-    def trimmed(ring, coeffs):
-        """A Poly from coefficients that are already canonical ring elements:
-        trailing zeros are dropped and nothing else is done."""
-        return Poly(ring, _trim(ring, coeffs), normalize=False)
-
-    @staticmethod
     def zero(ring):
-        return Poly(ring, [], normalize=False)
+        return Poly(ring, [])
 
     @staticmethod
     def one(ring):
-        return Poly(ring, [ring.one], normalize=False)
+        return Poly(ring, [ring.one])
 
     @staticmethod
     def gen(ring):
-        return Poly(ring, [ring.zero, ring.one], normalize=False)
+        return Poly(ring, [ring.zero, ring.one])
 
     @staticmethod
     def constant(ring, c):
@@ -109,13 +100,13 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = R.add(out[i], c)
-        return Poly.trimmed(R, out)
+        return Poly(R, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         R = self.ring
-        return Poly(R, [R.neg(c) for c in self.coeffs], normalize=False)
+        return Poly(R, [R.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,7 +131,7 @@ class Poly:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = R.add(out[i + j], R.mul(ai, bj))
-        return Poly.trimmed(R, out)
+        return Poly(R, out)
 
     __rmul__ = __mul__
 
@@ -148,7 +139,7 @@ class Poly:
         R = self.ring
         if R.is_zero(c):
             return Poly.zero(R)
-        return Poly.trimmed(R, [R.mul(c, a) for a in self.coeffs])
+        return Poly(R, [R.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, n):
         if n < 0:
@@ -164,9 +155,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ring, self.coeffs))
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     # -- structural operations ----------------------------------------------
 
@@ -193,7 +181,7 @@ class Poly:
     def substitute_neg(self):
         """f(-x)."""
         R = self.ring
-        return Poly(R, [c if i % 2 == 0 else R.neg(c) for i, c in enumerate(self.coeffs)], normalize=False)
+        return Poly(R, [c if i % 2 == 0 else R.neg(c) for i, c in enumerate(self.coeffs)])
 
     def monic(self):
         R = self.ring
@@ -204,7 +192,7 @@ class Poly:
         if R.is_one(self.lc()):
             return self
         inv = R.inv(self.lc())
-        return Poly(R, [R.mul(inv, c) for c in self.coeffs], normalize=False)
+        return Poly(R, [R.mul(inv, c) for c in self.coeffs])
 
     def __repr__(self):
         if self.is_zero():
@@ -249,9 +237,7 @@ class PolyRing:
         return -a
 
     def divexact(self, a, b):
-        if self.base.is_field and b.degree == 0:
-            return a.scale(self.base.inv(b.lc()))
-        q, r = divmod_exact_ring(a, b)
+        q, r = poly_divmod(a, b)
         if not r.is_zero():
             raise ArithmeticError("inexact polynomial division")
         return q
@@ -278,8 +264,13 @@ class PolyRing:
 # -- division -----------------------------------------------------------------
 
 
-def divmod_field(a: Poly, b: Poly):
-    """Quotient and remainder over a field."""
+def poly_divmod(a: Poly, b: Poly):
+    """(q, r) with a = q b + r and deg r < deg b, by long division.
+
+    No coefficient is divided when lc(b) = 1; over a field lc(b) is
+    inverted once; over any other ring each quotient coefficient is the
+    exact division by lc(b), which raises ArithmeticError if it is not.
+    """
     R = a.ring
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -287,43 +278,24 @@ def divmod_field(a: Poly, b: Poly):
         return Poly.zero(R), a
     rem = list(a.coeffs)
     q = [R.zero] * (a.degree - b.degree + 1)
-    monic = R.is_one(b.lc())
-    inv_lc = b.lc() if monic else R.inv(b.lc())
-    bc = b.coeffs
-    for i in range(len(rem) - len(bc), -1, -1):
-        c = rem[i + len(bc) - 1]
-        if R.is_zero(c):
-            continue
-        factor = c if monic else R.mul(c, inv_lc)
-        q[i] = factor
-        for j, bj in enumerate(bc):
-            rem[i + j] = R.sub(rem[i + j], R.mul(factor, bj))
-    return Poly.trimmed(R, q), Poly.trimmed(R, rem)
-
-
-def divmod_exact_ring(a: Poly, b: Poly):
-    """Division over a (non-field) integral domain; every leading-coefficient
-    division performed must be exact, otherwise ArithmeticError."""
-    R = a.ring
-    if R.is_field:
-        return divmod_field(a, b)
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.degree < b.degree:
-        return Poly.zero(R), a
-    rem = list(a.coeffs)
-    q = [R.zero] * (a.degree - b.degree + 1)
-    bc = b.coeffs
     blc = b.lc()
+    monic = R.is_one(blc)
+    inv_lc = R.inv(blc) if R.is_field and not monic else None
+    bc = b.coeffs
     for i in range(len(rem) - len(bc), -1, -1):
         c = rem[i + len(bc) - 1]
         if R.is_zero(c):
             continue
-        factor = R.divexact(c, blc)
+        if monic:
+            factor = c
+        elif inv_lc is not None:
+            factor = R.mul(c, inv_lc)
+        else:
+            factor = R.divexact(c, blc)
         q[i] = factor
         for j, bj in enumerate(bc):
             rem[i + j] = R.sub(rem[i + j], R.mul(factor, bj))
-    return Poly.trimmed(R, q), Poly.trimmed(R, rem)
+    return Poly(R, q), Poly(R, rem)
 
 
 def pseudo_rem(a: Poly, b: Poly):
@@ -348,7 +320,7 @@ def pseudo_rem(a: Poly, b: Poly):
         while rem and R.is_zero(rem[-1]):
             rem.pop()
         e -= 1
-    out = Poly(R, rem, normalize=False)
+    out = Poly(R, rem)
     if e > 0 and not monic:
         out = out.scale(ring_pow(R, blc, e))
     return out
@@ -369,9 +341,9 @@ def gcd_field(a: Poly, b: Poly) -> Poly:
         a, b = rational_poly_to_primitive(a)[1], rational_poly_to_primitive(b)[1]
         while not b.is_zero():
             a, b = b, primitive_part_int(pseudo_rem(a, b))[1]
-        return Poly(QQ, [Fraction(c, a.lc()) for c in a.coeffs], normalize=False)
+        return Poly(QQ, [Fraction(c, a.lc()) for c in a.coeffs])
     while not b.is_zero():
-        a, b = b, divmod_field(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a.monic()
 
 
@@ -390,7 +362,7 @@ def primitive_part_int(a: Poly):
     c = content_int(a)
     if a.lc() < 0:
         c = -c
-    return c, Poly(ZZ, [x // c for x in a.coeffs], normalize=False)
+    return c, Poly(ZZ, [x // c for x in a.coeffs])
 
 
 def rational_poly_to_primitive(a: Poly):
@@ -404,7 +376,7 @@ def rational_poly_to_primitive(a: Poly):
     for c in a.coeffs:
         den = den * c.denominator // int_gcd(den, c.denominator)
     ints = [int(c * den) for c in a.coeffs]
-    zp = Poly(ZZ, ints, normalize=False)
+    zp = Poly(ZZ, ints)
     cont, prim = primitive_part_int(zp)
     return Fraction(cont, den), prim
 
@@ -421,7 +393,7 @@ def _resultant_field_euclid(a: Poly, b: Poly):
             if a.degree > 0:
                 res = R.mul(res, ring_pow(R, b.lc(), a.degree))
             break
-        r = divmod_field(a, b)[1]
+        r = poly_divmod(a, b)[1]
         if r.is_zero():
             return R.zero
         if (a.degree * b.degree) % 2:
@@ -452,7 +424,7 @@ def _resultant_subresultant(a: Poly, b: Poly):
             return R.zero
         a = b
         denom = R.mul(g, ring_pow(R, h, delta))
-        b = Poly(R, [R.divexact(c, denom) for c in r.coeffs], normalize=False)
+        b = Poly(R, [R.divexact(c, denom) for c in r.coeffs])
         g = a.lc()
         if delta > 0:
             h = R.divexact(ring_pow(R, g, delta), ring_pow(R, h, delta - 1))
@@ -527,10 +499,10 @@ def resultant_sylvester(a: Poly, b: Poly):
 
 
 def discriminant(f: Poly):
-    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f); zero iff f inseparable.
+    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f), with f' read as a
+    polynomial of degree d - 1 = deg f - 1; zero iff f is inseparable.
 
-    When the characteristic does not divide d = deg f, so that f' has
-    degree d - 1, two closed forms give the same value without a resultant:
+    Two closed forms give the same value without a resultant:
 
     * a cubic a x^3 + b x^2 + c x + e has
       disc = b^2 c^2 - 4 a c^3 - 4 b^3 e - 27 a^2 e^2 + 18 a b c e;
@@ -538,28 +510,30 @@ def discriminant(f: Poly):
       disc(f) = (-4)^n g(0) lc(g) disc(g)^2, and disc(g) is again this
       function (the cubic form for a sextic f).
 
-    The elliptic curves are cubics, and the sextics of the families and of
-    the gluing are even.  Other shapes take the resultant, and so does every
-    f in a characteristic dividing d: there f' loses degree, and the
-    resultant with it differs from the closed forms by a power of lc(f).
+    Both are identities over Z, so they hold in every characteristic.  The
+    elliptic curves are cubics, and the sextics of the families and of the
+    gluing are even.  Other shapes take the resultant; where the
+    characteristic lowers the degree of f' to e < d - 1, the resultant at
+    that degree is multiplied by lc(f)^(d - 1 - e).
     """
     R = f.ring
     d = f.degree
     if d < 2:
         raise ValueError("discriminant requires degree >= 2")
-    if R.char == 0 or d % R.char:
-        if d == 3:
-            return _cubic_discriminant(R, *f.coeffs)
-        if d >= 4 and d % 2 == 0 and all(R.is_zero(c) for c in f.coeffs[1::2]):
-            g = Poly(R, f.coeffs[::2], normalize=False)
-            dg = discriminant(g)
-            scale = R.mul(R.from_int((-4) ** (d // 2)), R.mul(g.coeffs[0], g.coeffs[-1]))
-            return R.mul(scale, R.mul(dg, dg))
+    if d == 3:
+        return _cubic_discriminant(R, *f.coeffs)
+    if d >= 4 and d % 2 == 0 and all(R.is_zero(c) for c in f.coeffs[1::2]):
+        g = Poly(R, f.coeffs[::2])
+        dg = discriminant(g)
+        scale = R.mul(R.from_int((-4) ** (d // 2)), R.mul(g.coeffs[0], g.coeffs[-1]))
+        return R.mul(scale, R.mul(dg, dg))
     fp = f.derivative()
     if fp.is_zero():
         return R.zero
     res = resultant(f, fp)
     res = R.divexact(res, f.lc())
+    if fp.degree < d - 1:
+        res = R.mul(res, ring_pow(R, f.lc(), d - 1 - fp.degree))
     if (d * (d - 1) // 2) % 2:
         res = R.neg(res)
     return res
@@ -618,16 +592,16 @@ def squarefree_decomposition(f: Poly):
     if f.degree <= 0:
         return []
     c = gcd_field(f, f.derivative())
-    w = divmod_field(f, c)[0]
+    w = poly_divmod(f, c)[0]
     out = []
     i = 1
     while w.degree > 0:
         y = gcd_field(w, c)
-        z = divmod_field(w, y)[0]
+        z = poly_divmod(w, y)[0]
         if z.degree > 0:
             out.append((z, i))
         w = y
-        c = divmod_field(c, y)[0]
+        c = poly_divmod(c, y)[0]
         i += 1
     if c.degree > 0:
         out.extend((g, m * R.char) for g, m in squarefree_decomposition(_pth_root(c)))

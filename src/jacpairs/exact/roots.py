@@ -19,32 +19,25 @@ from math import lcm
 
 from .poly import (
     Poly,
-    divmod_field,
     gcd_field,
+    poly_divmod,
     squarefree_decomposition,
 )
 from .rings import GFext, PrimeField
-
-
-def element_sort_key(K, a):
-    """A total order on field elements, for deterministic output."""
-    if isinstance(K, PrimeField):
-        return (a,)
-    return tuple(a) + (0,) * (K.m - len(a))
 
 
 def powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
     """base**exp reduced mod modulus, over a field."""
     if exp < 0:
         raise ValueError("negative exponent")
-    _, r = divmod_field(base, modulus)
+    _, r = poly_divmod(base, modulus)
     result = Poly.one(base.ring)
     while exp:
         if exp & 1:
-            _, result = divmod_field(result * r, modulus)
+            _, result = poly_divmod(result * r, modulus)
         exp >>= 1
         if exp:
-            _, r = divmod_field(r * r, modulus)
+            _, r = poly_divmod(r * r, modulus)
     return result
 
 
@@ -71,9 +64,9 @@ def distinct_degree_factorization(f: Poly):
         g = gcd_field(frob - x, f)
         if g.degree > 0:
             out.append((d, g.monic()))
-            f, _ = divmod_field(f, g)
+            f, _ = poly_divmod(f, g)
             f = f.monic()
-            _, frob = divmod_field(frob, f)
+            _, frob = poly_divmod(frob, f)
     return out
 
 
@@ -156,14 +149,14 @@ def equal_degree_factorization(f: Poly, d: int):
             u = gcd_field(t, g)
             if 0 < u.degree < g.degree:
                 u = u.monic()
-                v, _ = divmod_field(g, u)
+                v, _ = poly_divmod(g, u)
                 nxt.append(u)
                 nxt.append(v.monic())
             else:
                 nxt.append(g)
         work = [g for g in nxt if g.degree > d]
         done.extend(g for g in nxt if g.degree == d)
-    done.sort(key=lambda g: [element_sort_key(K, c) for c in g.coeffs])
+    done.sort(key=lambda g: g.coeffs)
     return done
 
 
@@ -184,7 +177,6 @@ def irreducible_factors(f: Poly):
     ``factors`` is a list of ``(monic irreducible, multiplicity)`` pairs in a
     deterministic order.
     """
-    K = f.ring
     if f.is_zero():
         raise ValueError("factorization of the zero polynomial")
     factors = [
@@ -192,13 +184,7 @@ def irreducible_factors(f: Poly):
         for d, part, mult in _degree_parts(f)
         for irr in equal_degree_factorization(part, d)
     ]
-    factors.sort(
-        key=lambda fm: (
-            fm[0].degree,
-            [element_sort_key(K, c) for c in fm[0].coeffs],
-            fm[1],
-        )
-    )
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
     return f.lc(), factors
 
 
@@ -219,7 +205,7 @@ def _one_root(g: Poly):
         u = gcd_field(powmod(next(draws), e, g) - Poly.one(K), g)
         if 0 < u.degree < g.degree:
             u = u.monic()
-            v, _ = divmod_field(g, u)
+            v, _ = poly_divmod(g, u)
             g = u if 2 * u.degree <= g.degree else v.monic()
     return K.neg(g.coeff(0))
 
@@ -238,7 +224,7 @@ def _roots_of_parts(K, parts):
             for _ in range(d):
                 out.append(r)
                 r = K.frobenius(r)
-    out.sort(key=lambda a: element_sort_key(K, a))
+    out.sort()
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .ellcurve import WeierstrassModel, j_pair
 from .exact.poly import Poly, PolyRing, discriminant
@@ -57,6 +58,7 @@ class X0Param:
     j_prime: tuple
 
 
+@cache
 def _x0_table():
     s = _S
     rows = {
@@ -293,18 +295,13 @@ def _x0_table():
     return out
 
 
-_X0_CACHE = None
-
-
 def x0_jpair(n: int) -> X0Param:
     """The pair (j_N, j'_N) of rational parameterizations of the modular
     curve of cyclic N-isogenies, for the genus-zero degrees."""
-    global _X0_CACHE
-    if _X0_CACHE is None:
-        _X0_CACHE = _x0_table()
-    if n not in _X0_CACHE:
+    table = _x0_table()
+    if n not in table:
         raise ValueError(f"degree {n} has no genus-zero parameterization")
-    return _X0_CACHE[n]
+    return table[n]
 
 
 X0_DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25)
@@ -751,17 +748,17 @@ def _build_deg7() -> FamilySpec:
     )
 
 
-_FAMILY_CACHE: dict = {}
+@cache
+def _family_table() -> dict:
+    specs = (build() for build in (_build_howe2, _build_deg3, _build_deg4, _build_deg7))
+    return {spec.id: spec for spec in specs}
 
 
 def family_spec(family_id: str) -> FamilySpec:
-    if not _FAMILY_CACHE:
-        for builder in (_build_howe2, _build_deg3, _build_deg4, _build_deg7):
-            spec = builder()
-            _FAMILY_CACHE[spec.id] = spec
-    if family_id not in _FAMILY_CACHE:
+    table = _family_table()
+    if family_id not in table:
         raise ValueError(f"unknown family {family_id!r}")
-    return _FAMILY_CACHE[family_id]
+    return table[family_id]
 
 
 FAMILY_IDS = ("howe2", "deg3", "deg4", "deg7")
@@ -778,11 +775,12 @@ def eval_poly(poly: Poly, field, value):
     acc = field.zero
     for c in reversed(poly.coeffs):
         acc = field.mul(acc, value)
-        acc = field.add(acc, _scalar_in(field, c))
+        acc = field.add(acc, scalar_in(field, c))
     return acc
 
 
-def _scalar_in(field, c):
+def scalar_in(field, c):
+    """The int or Fraction c as an element of the field."""
     if isinstance(c, int):
         return field.from_int(c)
     fr = Fraction(c)
@@ -817,6 +815,18 @@ def family_sextic(spec: FamilySpec, field, t_value):
     if field.is_zero(discriminant(sextic)):
         raise AssertionError("family sextic inseparable inside validity locus")
     return twist, sextic
+
+
+def curve_pair(spec: FamilySpec, field, t_value):
+    """The sextics of C_t and C_{-t} over the field, or None when t or -t
+    lies on the validity locus, so that t is not a parameter of the pair."""
+    minus_t = field.neg(t_value)
+    validity = field.mul(
+        eval_poly(spec.validity_t, field, t_value), eval_poly(spec.validity_t, field, minus_t)
+    )
+    if field.is_zero(validity):
+        return None
+    return family_sextic(spec, field, t_value)[1], family_sextic(spec, field, minus_t)[1]
 
 
 # ---------------------------------------------------------------------------

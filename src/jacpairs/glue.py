@@ -18,7 +18,7 @@ from itertools import permutations
 from .exact.poly import Poly, discriminant
 from .exact.rings import GF
 from .exact.roots import splitting_field
-from .families import FamilySpec, eval_poly, family_sextic, weierstrass_at
+from .families import FamilySpec, curve_pair, eval_poly, weierstrass_at
 from .igusa.invariants import igusa_vector, weighted_equal
 
 
@@ -184,18 +184,14 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
         raise ValueError("p > 5 required")
     F = GF(p)
     t = F.from_int(t_value) if isinstance(t_value, int) else t_value
-    validity = F.mul(
-        eval_poly(spec.validity_t, F, t), eval_poly(spec.validity_t, F, F.neg(t))
-    )
-    if F.is_zero(validity):
+    pair = curve_pair(spec, F, t)
+    if pair is None:
         raise ValueError("parameter on the validity locus")
     s = eval_poly(spec.s_of_t, F, t)
     E = weierstrass_at(spec, F, s)
     Ep = weierstrass_at(spec, F, s, prime=True)
 
-    _, c_t = family_sextic(spec, F, t)
-    _, c_mt = family_sextic(spec, F, F.neg(t))
-    target = [igusa_vector(c_t), igusa_vector(c_mt)]
+    target = [igusa_vector(c) for c in pair]
     matched = [False, False]
 
     K, (rts_f, rts_g) = splitting_field(F, E.cubic, Ep.cubic)

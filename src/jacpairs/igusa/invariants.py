@@ -31,7 +31,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from ..exact.poly import Poly, PolyRing, discriminant, divmod_field
+from ..exact.poly import Poly, PolyRing, discriminant, poly_divmod
 from ..exact.rings import QQ, ZZ, ExtField, PrimeField
 from ..exact.roots import splitting_field
 
@@ -375,7 +375,7 @@ def r_polynomials(spec) -> dict:
     for name, den in spec.r_denominators.items():
         num = numerators[name].map_coeffs(QQ, Fraction)
         denq = den.map_coeffs(QQ, Fraction)
-        q, r = divmod_field(num, denq)
+        q, r = poly_divmod(num, denq)
         if not r.is_zero():
             raise ArithmeticError(
                 f"{name} numerator not divisible by its printed denominator"

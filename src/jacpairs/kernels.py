@@ -26,7 +26,7 @@ def resultant_mod_p(a_coeffs, b_coeffs, p: int) -> int:
     if not a or not b or a[-1] == 0 or b[-1] == 0:
         raise ValueError("inputs must be dense with nonzero leading entry")
     F = GF(p)
-    return resultant(Poly(F, a, normalize=False), Poly(F, b, normalize=False))
+    return resultant(Poly(F, a), Poly(F, b))
 
 
 def resultant_int_crt(a: Poly, b: Poly) -> int:

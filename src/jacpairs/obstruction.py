@@ -195,7 +195,7 @@ def verify_obstruction(n: int) -> dict:
     curves).  Finiteness for the genus-3 curves is a recorded assertion; the
     search only confirms no further small points."""
     rec = _record(n)
-    points_on = all(rec.curve(P.x) == P.y * P.y for P in rec.points)
+    points_on = all(rec.curve.evaluate(P.x) == P.y * P.y for P in rec.points)
     bound = 1000 if rec.curve.degree == 3 else 200
     found = odd_degree_point_search(rec.curve, bound)
     recorded = sorted(rec.points, key=lambda P: (P.x, P.y))

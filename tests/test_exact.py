@@ -8,9 +8,10 @@ import pytest
 from jacpairs.exact.integers import is_perfect_square, is_prime, trial_division
 from jacpairs.exact.poly import (
     Poly,
+    PolyRing,
     discriminant,
-    divmod_field,
     gcd_field,
+    poly_divmod,
     rational_poly_to_primitive,
     resultant,
     resultant_sylvester,
@@ -184,6 +185,28 @@ class TestIrreducibility:
 
 
 class TestPoly:
+    def test_from_ints_maps_ints_into_the_ring(self):
+        ints = [-1, 15, 3, -7]
+        assert Poly.from_ints(GF(7), ints).coeffs == (6, 1, 3)
+        assert Poly.from_ints(GFext(7, 2), ints).coeffs == ((6, 0), (1, 0), (3, 0))
+        f = Poly.from_ints(QQ, ints)
+        assert f.coeffs == (-1, 15, 3, -7)
+        assert all(type(c) is Fraction for c in f.coeffs)
+
+    def test_inexact_division_raises(self):
+        x = Poly.gen(ZZ)
+        with pytest.raises(ArithmeticError):
+            poly_divmod(x**2 + 1, 2 * x + 1)
+        # x^2 over Z[t] by t x + 1: the first quotient coefficient is 1/t
+        Zt = PolyRing(ZZ)
+        with pytest.raises(ArithmeticError):
+            poly_divmod(Poly.gen(Zt) ** 2, Poly(Zt, [Zt.one, Poly.gen(ZZ)]))
+
+    @pytest.mark.parametrize("R", [ZZ, GF(7), QQ, PolyRing(ZZ)])
+    def test_division_by_zero_raises(self, R):
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(Poly.gen(R), Poly.zero(R))
+
     def test_divmod_and_gcd(self):
         F = GF(97)
         rng = random.Random(1)
@@ -192,11 +215,11 @@ class TestPoly:
             b = Poly(F, [F.from_int(rng.randrange(97)) for _ in range(3)])
             if b.is_zero():
                 continue
-            q, r = divmod_field(a, b)
+            q, r = poly_divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
             g = gcd_field(a * b, b)
-            _, rem = divmod_field(b, g)
+            _, rem = poly_divmod(b, g)
             assert rem.is_zero()
 
     def test_resultant_matches_sylvester(self):
@@ -220,6 +243,13 @@ class TestPoly:
         for a, b in ((1, 1), (-2, 3), (0, 5)):
             f = Poly.from_ints(ZZ, [b, a, 0, 1])
             assert discriminant(f) == -4 * a**3 - 27 * b**2
+
+    def test_discriminant_where_the_characteristic_divides_the_degree(self):
+        # the cubic formula with a = 2, b = 1, c = 0, e = 1 gives
+        # -4 - 108 = -112 = 2 mod 3; x^3 + 2 is a cube over GF(3)
+        F = GF(3)
+        assert discriminant(Poly(F, [1, 0, 1, 2])) == 2
+        assert discriminant(Poly(F, [2, 0, 0, 1])) == 0
 
     def test_squarefree_decomposition_char_zero(self):
         x = Poly.gen(QQ)
@@ -303,7 +333,7 @@ class TestRoots:
         assert K == GFext(7, 2)
         assert len(rts) == 3 == len(set(rts))
         lifted = f.map_coeffs(K, K.from_base)
-        assert all(K.is_zero(lifted(r)) for r in rts)
+        assert all(K.is_zero(lifted.evaluate(r)) for r in rts)
 
     def test_splitting_field_of_a_pth_power(self):
         F = GF(7)

@@ -1,6 +1,7 @@
 """Checks over the package source and the tests: no stale imports, no
-stale exports, every package name the benchmark reaches exists, and
-importing the package changes no interpreter-wide state.
+stale exports, no package module importing another's private names, every
+package name the benchmark reaches exists, and importing the package
+changes no interpreter-wide state.
 
 Every module-level import must be used in its module or listed in its
 ``__all__``; every name in ``__all__`` must be defined or imported there.
@@ -74,6 +75,20 @@ def test_imports_used_and_exports_defined(path):
     assert not unused, f"unused imports: {unused}"
     undefined = sorted(set(exported) - _defined_names(tree) - set(imported))
     assert not undefined, f"__all__ names neither defined nor imported: {undefined}"
+
+
+def test_no_private_names_imported_across_package_modules():
+    """A ``_``-prefixed name is private to the package module that defines
+    it; another module that needs it needs a public name."""
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not offenders, f"private names imported from other modules: {offenders}"
 
 
 def _load_by_path(path):

@@ -101,7 +101,7 @@ class TestCRT:
             if not is_prime(q) or a.lc() % q == 0 or b.lc() % q == 0:
                 continue
             F = GF(q)
-            assert res % q == resultant(Poly(F, a.coeffs), Poly(F, b.coeffs))
+            assert res % q == resultant(Poly.from_ints(F, a.coeffs), Poly.from_ints(F, b.coeffs))
             modulus *= q
 
     def test_coefficient_stress(self):

@@ -1,13 +1,15 @@
-"""Property tests for GF(p^m) inverses, roots and factorizations, against
-Fermat's inverse, a brute-force root search and the product of the factors,
-for the squarefree decomposition over Q, GF(3) and GF(5) against the
-multiplicities a polynomial was built with, for the integer resultant
-against the Sylvester determinant, for the gcd over Q against Euclid on
-``Fraction`` coefficients, for the ring axioms of GF(p^m), and for
-polynomial arithmetic returning canonical results, and for the closed-form
-discriminants of cubics and even polynomials against the Sylvester
-determinant.  ``derandomize=True``
-draws the same inputs on every run."""
+"""Property tests, each against an independent oracle: GF(p^m) inverses
+against Fermat's inverse; roots against a brute-force search; factorizations
+against the product of the factors; the squarefree decomposition over Q,
+GF(3) and GF(5) against the multiplicities a polynomial was built with; the
+integer resultant against the Sylvester determinant; the gcd over Q against
+Euclid on ``Fraction`` coefficients; the ring axioms of GF(p^m); canonical
+results of polynomial arithmetic; long division by a non-unit leading
+coefficient over Z and Z[t] against the quotient and remainder it was built
+from; the closed-form discriminants of cubics and even polynomials against
+the Sylvester determinant; and the discriminant over GF(p) against the one
+over Z reduced mod p.  ``derandomize=True`` draws the same inputs on every
+run."""
 import itertools
 from fractions import Fraction
 
@@ -18,15 +20,14 @@ from jacpairs.exact.poly import (
     Poly,
     PolyRing,
     discriminant,
-    divmod_exact_ring,
-    divmod_field,
     gcd_field,
+    poly_divmod,
     resultant,
     resultant_sylvester,
     squarefree_decomposition,
 )
-from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext
-from jacpairs.exact.roots import element_sort_key, irreducible_factors, roots, splitting_degrees
+from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext, ring_pow
+from jacpairs.exact.roots import irreducible_factors, roots, splitting_degrees
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -56,10 +57,7 @@ def test_inverse_is_fermat_inverse(case):
 
 def _brute_force_roots(f, K):
     lifted = f.map_coeffs(K, K.from_base)
-    return sorted(
-        (a for a in K.elements() if K.is_zero(lifted(a))),
-        key=lambda a: element_sort_key(K, a),
-    )
+    return sorted(a for a in K.elements() if K.is_zero(lifted.evaluate(a)))
 
 
 @st.composite
@@ -238,7 +236,7 @@ def test_rational_gcd_is_euclid_over_fractions(pair):
     g = gcd_field(a, b)
     assert list(g.coeffs) == _euclid_over_fractions(a, b)
     assert g.lc() == 1 and all(type(c) is Fraction for c in g.coeffs)
-    assert divmod_field(a, g)[1].is_zero() and divmod_field(b, g)[1].is_zero()
+    assert poly_divmod(a, g)[1].is_zero() and poly_divmod(b, g)[1].is_zero()
 
 
 @st.composite
@@ -289,9 +287,22 @@ def poly_pairs(draw):
     return R, a, b, draw(element)
 
 
+def _is_canonical_element(R, c):
+    if R is ZZ:
+        return type(c) is int
+    if R is QQ:
+        return type(c) is Fraction
+    if isinstance(R, ExtField):
+        return type(c) is tuple and len(c) == R.m and all(0 <= x < R.p for x in c)
+    return type(c) is int and 0 <= c < R.p
+
+
 def _is_canonical(r):
-    again = Poly(r.ring, list(r.coeffs))
-    return r == again and [type(c) for c in r.coeffs] == [type(c) for c in again.coeffs]
+    """No trailing zero, and every coefficient in the ring's own form."""
+    R = r.ring
+    if r.coeffs and R.is_zero(r.coeffs[-1]):
+        return False
+    return all(_is_canonical_element(R, c) for c in r.coeffs)
 
 
 @PROPERTY
@@ -299,19 +310,41 @@ def _is_canonical(r):
 def test_arithmetic_results_are_canonical(case):
     R, a, b, c = case
     results = [a + b, a - b, a * b, a.scale(c), (a + b) - b]
-    if not b.is_zero():
-        if R.is_field:
-            results.extend(divmod_field(a, b))
-        elif R.is_one(b.lc()) or R.is_one(R.neg(b.lc())):
-            results.extend(divmod_exact_ring(a, b))
+    if not b.is_zero() and (R.is_field or R.is_one(b.lc()) or R.is_one(R.neg(b.lc()))):
+        results.extend(poly_divmod(a, b))
     for r in results:
         assert _is_canonical(r)
     assert (a + b) - b == a
     assert (a - b) + b == a
 
 
+@st.composite
+def exact_divisions(draw):
+    """Over Z or Z[t]: b of degree 1 to 3 whose leading coefficient is not
+    a unit, q of degree up to 3, and r of degree below deg b."""
+    R = draw(st.sampled_from([ZZ, PolyRing(ZZ)]))
+    if R is ZZ:
+        element = st.integers(-9, 9)
+        lead = st.sampled_from([2, -2, 3, -6])
+    else:
+        element = st.lists(st.integers(-3, 3), max_size=3).map(lambda cs: Poly(ZZ, cs))
+        lead = st.sampled_from([Poly(ZZ, [0, 1]), Poly(ZZ, [2, 1]), Poly(ZZ, [1, 0, -3])])
+    db = draw(st.integers(1, 3))
+    b = Poly(R, draw(st.lists(element, min_size=db, max_size=db)) + [draw(lead)])
+    q = Poly(R, draw(st.lists(element, max_size=4)))
+    r = Poly(R, draw(st.lists(element, max_size=db)))
+    return q, b, r
+
+
+@PROPERTY
+@given(exact_divisions())
+def test_division_by_a_non_unit_leading_coefficient(case):
+    q, b, r = case
+    assert poly_divmod(q * b + r, b) == (q, r)
+
+
 # (ring, degree of f): cubics, and even f = g(x^2) of degree 4, 6 and 8;
-# GF(3) divides the degree of a cubic, so there the resultant path runs
+# GF(3) divides the degree of a cubic, so there f' can lose degree
 DISC_SHAPES = [(GF(3), 3)] + [
     (R, d) for R in (GF(7919), GFext(7919, 2), GFext(5, 3), QQ, ZZ, PolyRing(ZZ)) for d in (3, 4, 6, 8)
 ]
@@ -363,8 +396,8 @@ _T = Poly.constant(_ZT, Poly.gen(ZZ))  # t in Z[t]
 @example((_even_sextic(ZZ, 5), False))
 @example((_even_sextic(_ZT, _T), False))
 @example(((_T + 1) * Poly.gen(_ZT) ** 3 - _T * Poly.gen(_ZT) + 5, False))
-# over GF(3), f' of 2x^3 + x^2 + 1 has degree 1, and the cubic form would
-# give lc(f) times the resultant's value
+# over GF(3), f' of 2x^3 + x^2 + 1 is 2x, of degree 1: read at degree 2 it
+# gives disc = 2, while the resultant at degree 1 alone gives 1
 @example((Poly(GF(3), [1, 0, 1, 2]), False))
 def test_discriminant_is_sylvester_resultant(case):
     f, vanishes = case
@@ -373,7 +406,33 @@ def test_discriminant_is_sylvester_resultant(case):
     if fp.is_zero():  # x^3 + c over GF(3) is a cube
         assert R.is_zero(disc)
     else:
-        res = R.divexact(resultant_sylvester(f, fp), f.lc())
+        # the resultant with f' read at degree d - 1, as in the definition
+        res = R.mul(resultant_sylvester(f, fp), ring_pow(R, f.lc(), d - 1 - fp.degree))
+        res = R.divexact(res, f.lc())
         assert disc == (R.neg(res) if d * (d - 1) // 2 % 2 else res)
     if vanishes:
         assert R.is_zero(disc)
+
+
+@st.composite
+def integer_polys_and_primes(draw):
+    """A prime p in {3, 5, 7} and an integer polynomial of degree 2 to 8
+    whose leading coefficient p does not divide; the degrees include
+    multiples of p, where f' loses degree mod p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8] + [p, 2 * p] * 2).filter(lambda d: d <= 8))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    lead = draw(st.integers(1, p - 1))
+    return p, Poly(ZZ, coeffs + [lead])
+
+
+@PROPERTY
+@given(integer_polys_and_primes())
+# 2x^5 + x^2 + 3x + 1: f' = 2x + 3 mod 5, the resultant path at lowered degree
+@example((5, Poly(ZZ, [1, 3, 1, 0, 0, 2])))
+def test_discriminant_commutes_with_reduction_mod_p(case):
+    # disc is a polynomial over Z in the coefficients of f, so reducing f
+    # mod p (keeping its degree) reduces disc(f) mod p
+    p, f = case
+    F = GF(p)
+    assert discriminant(f.map_coeffs(F, F.from_int)) == discriminant(f) % p
