@@ -28,7 +28,6 @@ from .exact.rings import GF, GFext
 from .exact.roots import irreducible_factors, roots, splitting_field
 from .families import FamilySpec, curve_pair, scalar_in
 from .igusa.invariants import (
-    geometric_isomorphism_test,
     igusa_vector,
     j_polynomials_of_sextic_family,
     r_numerators,
@@ -38,19 +37,6 @@ from .igusa.invariants import (
 
 _BASE_TRIPLE = ("R2", "R3", "R5")
 _FALLBACK_TRIPLE = ("R23", "R35", "R25")
-
-# the scaled J's over Z[t] of each family sextic seen so far, keyed by it
-_J_POLYNOMIALS: dict = {}
-
-
-def _family_j_polynomials(spec: FamilySpec) -> tuple:
-    """``j_polynomials_of_sextic_family`` of the family sextic, computed once
-    per sextic."""
-    sextic = spec.sextic_zt()
-    js = _J_POLYNOMIALS.get(sextic)
-    if js is None:
-        js = _J_POLYNOMIALS[sextic] = j_polynomials_of_sextic_family(sextic)
-    return js
 
 
 def prime_support(spec: FamilySpec) -> dict:
@@ -133,7 +119,8 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     if p <= 5:
         raise ValueError("p > 5 required")
     F = GF(p)
-    js = [j.map_coeffs(F, F.from_int) for j in _family_j_polynomials(spec)]
+    js = j_polynomials_of_sextic_family(spec.sextic_zt())
+    js = [j.map_coeffs(F, F.from_int) for j in js]
     triple = _BASE_TRIPLE
     j2_gcd = gcd_field(js[0], js[0].substitute_neg())
     if j2_gcd.degree > 0 and all(k in spec.r_denominators for k in _FALLBACK_TRIPLE):
@@ -190,19 +177,18 @@ def _verify_locus_factor(spec, F, fac, exc):
     K, (rts,) = splitting_field(F, fac)
     entry = {"factor": str(fac), "root_field_degree": d, "roots": len(rts)}
     ok = len(rts) == d
-    rep = None
+    rep_vector = None
     if exc.representative is not None:
-        rep = exc.representative.map_coeffs(K, partial(scalar_in, K))
+        rep_vector = igusa_vector(exc.representative.map_coeffs(K, partial(scalar_in, K)))
     for t0 in rts:
         pair = curve_pair(spec, K, t0)
         if pair is None:
             ok = False
             continue
-        c_t, c_mt = pair
-        same = geometric_isomorphism_test(c_t, c_mt)
-        ok = ok and same
-        if rep is not None:
-            ok = ok and geometric_isomorphism_test(c_t, rep)
+        u, v = (igusa_vector(c) for c in pair)
+        ok = ok and weighted_equal(u, v, K, geometric=True)
+        if rep_vector is not None:
+            ok = ok and weighted_equal(u, rep_vector, K, geometric=True)
     entry["pass"] = ok
     return entry
 

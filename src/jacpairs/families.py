@@ -11,6 +11,15 @@ polynomials, and the identities are checked exactly by cross-multiplication
 over Q[s] and Z[t]: a/b = c/d in Q(s) exactly when a*d = b*c in Q[s].  The
 operations also evaluate the family at concrete parameter values over Q or
 a finite field.
+
+Each family is parameterized by the open set where ``validity_t`` is
+nonzero, and there C_t is a separable sextic of degree 6.  This is proved
+once over Z[t] by ``tests/test_families.py::TestValidityLocus``: lc(C_t)
+and disc(C_t) are each 2^k times a primitive P whose radical divides
+``validity_t`` in Z[t] (Gauss's lemma), so a root of P in any field is a
+root of ``validity_t``.  Every field the package builds is Q or GF(p^m)
+with p odd, where 2 is a unit, so the curves are built without checking
+degree or separability again.
 """
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from .ellcurve import WeierstrassModel, j_pair
-from .exact.poly import Poly, PolyRing, discriminant
+from .exact.poly import Poly, PolyRing
 from .exact.rings import QQ, ZZ
 
 # generators used throughout the data below
@@ -798,35 +807,37 @@ def weierstrass_at(spec: FamilySpec, field, s_value, prime: bool = False):
     return WeierstrassModel.from_coefficients(field, a2, a4, a6)
 
 
-def family_sextic(spec: FamilySpec, field, t_value):
-    """The C_t data (twistFactor, separable sextic over the field) at a
-    concrete parameter; the parameter must avoid the validity locus."""
-    if field.char == 2:
-        raise ValueError("characteristic 2 unsupported")
-    if field.is_zero(eval_poly(spec.validity_t, field, t_value)):
-        raise ValueError("outside family locus")
-    twist = eval_poly(spec.twist_t, field, t_value)
+def _sextic_at(spec: FamilySpec, field, t_value) -> Poly:
+    """The product of the sextic factors, with their Z[t] coefficients
+    evaluated at t."""
     sextic = Poly.one(field)
     for fac in spec.sextic_factors:
-        coeffs = [eval_poly(c, field, t_value) for c in fac.coeffs]
-        sextic = sextic * Poly(field, coeffs)
-    if sextic.degree != 6:
-        raise AssertionError("family sextic degenerated")
-    if field.is_zero(discriminant(sextic)):
-        raise AssertionError("family sextic inseparable inside validity locus")
-    return twist, sextic
+        sextic = sextic * Poly(field, [eval_poly(c, field, t_value) for c in fac.coeffs])
+    return sextic
+
+
+def family_sextic(spec: FamilySpec, field, t_value):
+    """The C_t data (twistFactor, sextic over the field) at a concrete
+    parameter, which must avoid the validity locus (``ValueError`` if not).
+    Off the locus the sextic is separable of degree 6 in every field the
+    package builds, as ``TestValidityLocus`` proves over Z[t]."""
+    if field.is_zero(eval_poly(spec.validity_t, field, t_value)):
+        raise ValueError("outside family locus")
+    return eval_poly(spec.twist_t, field, t_value), _sextic_at(spec, field, t_value)
 
 
 def curve_pair(spec: FamilySpec, field, t_value):
     """The sextics of C_t and C_{-t} over the field, or None when t or -t
-    lies on the validity locus, so that t is not a parameter of the pair."""
+    lies on the validity locus, so that t is not a parameter of the pair.
+    Otherwise both are separable of degree 6, as ``TestValidityLocus`` in
+    tests/test_families.py proves over Z[t]."""
     minus_t = field.neg(t_value)
     validity = field.mul(
         eval_poly(spec.validity_t, field, t_value), eval_poly(spec.validity_t, field, minus_t)
     )
     if field.is_zero(validity):
         return None
-    return family_sextic(spec, field, t_value)[1], family_sextic(spec, field, minus_t)[1]
+    return _sextic_at(spec, field, t_value), _sextic_at(spec, field, minus_t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from ..exact.poly import Poly, PolyRing, discriminant, poly_divmod
@@ -310,22 +311,14 @@ def weighted_equal(u, v, R, geometric: bool = False) -> bool:
     return R.is_square(eps)
 
 
-def geometric_isomorphism_test(f: Poly, g: Poly) -> bool:
-    """Whether two separable sextics/quintics over the same field define
-    geometrically isomorphic genus-2 curves (equal weighted Igusa classes
-    over the algebraic closure)."""
-    if f.ring is not g.ring and f.ring != g.ring:
-        raise ValueError("curves over different fields")
-    return weighted_equal(igusa_vector(f), igusa_vector(g), f.ring, geometric=True)
-
-
 # -- the distinguishing polynomials in t ---------------------------------------
 
 
+@cache
 def j_polynomials_of_sextic_family(sextic_zt) -> tuple:
     """Scaled J's of a one-parameter sextic with Z[t] coefficients, as
-    polynomials in Z[t]; ``ArithmeticError`` if one of them has a
-    coefficient that is not an integer."""
+    polynomials in Z[t], computed once per sextic; ``ArithmeticError`` if
+    one of them has a coefficient that is not an integer."""
     R = sextic_zt.ring
     if not (isinstance(R, PolyRing) and R.base is ZZ):
         raise TypeError("expected a sextic with Z[t] coefficients")

@@ -2,7 +2,7 @@
 denominator exponents, fallback triple, and small exhaustive scans."""
 import pytest
 
-from jacpairs import families
+from jacpairs import distinct
 from jacpairs.distinct import charp_analysis, full_scan, prime_support
 from jacpairs.families import family_spec
 
@@ -115,13 +115,13 @@ class TestFullScan:
     def test_sextic_error_is_not_skipped(self, monkeypatch):
         # t = 4 is a valid parameter of deg3 mod 13; an error building its
         # curves must stop the scan instead of dropping t from it
-        family_sextic = families.family_sextic
+        curve_pair = distinct.curve_pair
 
         def failing(spec, K, t):
             if t == 4:
                 raise ZeroDivisionError("injected")
-            return family_sextic(spec, K, t)
+            return curve_pair(spec, K, t)
 
-        monkeypatch.setattr(families, "family_sextic", failing)
+        monkeypatch.setattr(distinct, "curve_pair", failing)
         with pytest.raises(ZeroDivisionError, match="injected"):
             full_scan(family_spec("deg3"), 13, 1)

@@ -5,11 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from jacpairs.exact.poly import discriminant, gcd_field
-from jacpairs.exact.rings import GF, QQ
+from jacpairs.exact.poly import (
+    Poly,
+    discriminant,
+    gcd_field,
+    poly_divmod,
+    primitive_part_int,
+    radical,
+)
+from jacpairs.exact.rings import GF, QQ, ZZ, GFext
 from jacpairs.families import (
     FAMILY_IDS,
     X0_DEGREES,
+    curve_pair,
     eval_poly,
     family_identity_check,
     family_sextic,
@@ -156,3 +164,68 @@ class TestSpecialization:
             for prime in (False, True):
                 E = weierstrass_at(spec, F, s, prime=prime)
                 assert not F.is_zero(discriminant(E.cubic))
+
+
+def _may_vanish_off_locus(spec):
+    """The names among lc(C_t) and disc(C_t), over Z[t], that are not 2^k
+    times a primitive P whose radical over Q divides ``validity_t``.
+
+    For one that is, P = +-prod P_i^e_i with the P_i primitive and
+    irreducible, and prod P_i divides ``validity_t`` in Z[t] by Gauss's
+    lemma; so wherever 2 is a unit (Q and every GF(p^m) with p odd) it
+    vanishes only on the validity locus."""
+    sextic = spec.sextic_zt()
+    validity = spec.validity_t.map_coeffs(QQ, Fraction)
+    out = []
+    for name, value in (("lc", sextic.lc()), ("disc", discriminant(sextic))):
+        content, prim = primitive_part_int(value)
+        content = abs(content)
+        if (
+            content == 0
+            or content & (content - 1)
+            or not poly_divmod(validity, radical(prim.map_coeffs(QQ, Fraction)))[1].is_zero()
+        ):
+            out.append(name)
+    return out
+
+
+class TestValidityLocus:
+    """Off the validity locus C_t is a separable sextic of degree 6 in every
+    field the package builds; ``family_sextic`` and ``curve_pair`` rely on
+    this instead of checking each curve."""
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_separable_sextic_off_the_locus(self, fid):
+        spec = family_spec(fid)
+        assert spec.sextic_zt().degree == 6
+        assert _may_vanish_off_locus(spec) == []
+
+    @pytest.mark.parametrize(
+        "factor",
+        [(0, 1), (27, 0, 1), (729, 0, -10, 0, 1)],
+        ids=["t", "t^2+27", "t^4-10t^2+729"],
+    )
+    def test_dropped_validity_factor_is_caught(self, factor):
+        spec = family_spec("deg3")
+        quotient, rem = poly_divmod(spec.validity_t, Poly.from_ints(ZZ, factor))
+        assert rem.is_zero()
+        assert _may_vanish_off_locus(replace(spec, validity_t=quotient))
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_curve_pair_agrees_with_family_sextic(fid):
+    spec = family_spec(fid)
+    K = GFext(13, 2)
+    for field, values in (
+        (GF(13), GF(13).elements()),
+        (GF(31), GF(31).elements()),
+        (K, list(K.elements())[::5]),
+    ):
+        for t in values:
+            both = (t, field.neg(t))
+            validity = [eval_poly(spec.validity_t, field, u) for u in both]
+            pair = curve_pair(spec, field, t)
+            if field.is_zero(field.mul(*validity)):
+                assert pair is None, t
+            else:
+                assert pair == tuple(family_sextic(spec, field, u)[1] for u in both), t
