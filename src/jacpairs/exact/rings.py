@@ -349,6 +349,13 @@ class ExtField:
         self.one = (1,) + (0,) * (m - 1)
         self.gen = (0, 1) + (0,) * (m - 2) if m > 1 else (1,)
         self.name = f"GF({p}^{m})"
+        # rows (y^p)^i of the Frobenius as an F_p-linear map, y = self.gen
+        rows = [self.one]
+        if m > 1:
+            yp = self.pow(self.gen, p)
+            while len(rows) < m:
+                rows.append(self.mul(rows[-1], yp))
+        self._frobenius_rows = tuple(rows)
 
     def from_int(self, k):
         return (k % self.p,) + (0,) * (self.m - 1)
@@ -403,7 +410,14 @@ class ExtField:
         return a == self.zero or self.pow(a, (self.order - 1) // 2) == self.one
 
     def frobenius(self, a):
-        return self.pow(a, self.p)
+        """a^p, as the F_p-linear map sum a_i y^i -> sum a_i (y^p)^i."""
+        p = self.p
+        out = [0] * self.m
+        for ai, row in zip(a, self._frobenius_rows):
+            if ai:
+                for j, c in enumerate(row):
+                    out[j] += ai * c
+        return tuple(c % p for c in out)
 
     def elements(self):
         p, m = self.p, self.m

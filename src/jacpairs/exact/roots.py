@@ -12,6 +12,24 @@ One root of each factor is found by Cantor-Zassenhaus splitting in GF(p^m);
 the other roots are its images under x -> x^p.  ``roots`` takes the parts
 from gcd(x^(p^m) - x, f); ``splitting_field`` takes them from the
 squarefree and distinct-degree factorization that also gives it m.
+
+Each Cantor-Zassenhaus step needs h^((r^k - 1)/2) mod g, for a draw h over
+a field K of characteristic p, r a power of p (r = q, k = d when a part is
+split over its own field F_q; r = p, k = m when a root is found in
+GF(p^m)).  It is computed as a norm power, exactly:
+
+    (r^k - 1)/2 = (r - 1)/2 * (1 + r + ... + r^(k-1)),   so
+    h^((r^k - 1)/2) = N^((r - 1)/2),   N = h * h^r * ... * h^(r^(k-1)),
+
+and h^(r^i) = (s^i h)(x^(r^i)) in K[x], where s is c -> c^r on the
+coefficients, because the r-th power is a ring map in characteristic p.
+The images x^(r^i) mod g come from x^r mod g through the linear map
+sum a_j x^j -> sum a_j (x^r)^j, which is the r-th power on F_r[x]/(g) when
+g has coefficients in F_r; for a root in GF(p^m) they are taken over F_p
+and lifted.  So a power with a k*log(r)-bit exponent becomes one with a
+log(r)-bit exponent, k - 1 products and k - 1 coefficient maps, and the
+value, hence every split and every root, is the same.  For k = 1 it is
+the plain power.
 """
 from __future__ import annotations
 
@@ -23,7 +41,7 @@ from .poly import (
     poly_divmod,
     squarefree_decomposition,
 )
-from .rings import GFext, PrimeField
+from .rings import GF, GFext, PrimeField
 
 
 def powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
@@ -45,8 +63,9 @@ def distinct_degree_factorization(f: Poly):
     """Split a squarefree monic polynomial into products of equal-degree
     irreducibles.
 
-    Returns a list of pairs ``(d, g)`` where ``g`` is the (monic, nontrivial)
-    product of all irreducible factors of degree ``d``, ordered by ``d``.
+    Returns a list of triples ``(d, g, xq)`` where ``g`` is the (monic,
+    nontrivial) product of all irreducible factors of degree ``d``, ordered
+    by ``d``, and ``xq`` is x^q mod g for q the order of the field.
     """
     K = f.ring
     q = K.order
@@ -54,20 +73,61 @@ def distinct_degree_factorization(f: Poly):
     out = []
     x = Poly.gen(K)
     frob = x  # x^(q^d) mod f, updated per level
+    xq = None  # x^q mod the original f
     d = 0
     while f.degree > 0:
         d += 1
         if f.degree < 2 * d:
-            out.append((f.degree, f))
+            # xq is unset only when f was linear from the start: then x^q = x
+            out.append((f.degree, f, poly_divmod(x if xq is None else xq, f)[1]))
             break
         frob = powmod(frob, q, f)
+        if d == 1:
+            xq = frob
         g = gcd_field(frob - x, f)
         if g.degree > 0:
-            out.append((d, g.monic()))
+            g = g.monic()
+            out.append((d, g, poly_divmod(xq, g)[1]))
             f, _ = poly_divmod(f, g)
             f = f.monic()
             _, frob = poly_divmod(frob, f)
     return out
+
+
+def _power_images(xq: Poly, f: Poly, k: int):
+    """x^(q^i) mod f for 1 <= i < k, from xq = x^q mod f, where f has
+    coefficients in the field F_q.  On F_q[x]/(f) the q-th power is the
+    F_q-linear map sum a_j x^j -> sum a_j (x^q)^j; its rows x^(jq) mod f are
+    computed once, then each image is the map applied to the one before."""
+    if k <= 2:
+        return [xq][: k - 1]
+    R = f.ring
+    rows = [Poly.one(R), xq]
+    while len(rows) < f.degree:
+        rows.append(poly_divmod(rows[-1] * xq, f)[1])
+    images = [xq]
+    while len(images) < k - 1:
+        image = Poly.zero(R)
+        for a, row in zip(images[-1].coeffs, rows):
+            image = image + row.scale(a)
+        images.append(image)
+    return images
+
+
+def _half_power(h: Poly, g: Poly, r: int, images, conj):
+    """h^((r^k - 1)/2) mod g, as the norm power of the module docstring: r
+    is odd, ``images[i - 1]`` is x^(r^i) modulo a multiple of g for
+    1 <= i < k, and ``conj`` is c -> c^r on the coefficients of h."""
+    R = g.ring
+    norm, coeffs = h, h.coeffs
+    for image in images:
+        image = poly_divmod(image, g)[1]
+        coeffs = [conj(c) for c in coeffs]
+        term = Poly.zero(R)
+        for c in reversed(coeffs):
+            term = poly_divmod(term * image + Poly.constant(R, c), g)[1]
+        norm = poly_divmod(norm * term, g)[1]
+    return powmod(norm, (r - 1) // 2, g)
 
 
 def _splitmix64(state: int):
@@ -122,11 +182,13 @@ def _splitting_elements(f: Poly):
     )
 
 
-def equal_degree_factorization(f: Poly, d: int):
+def equal_degree_factorization(f: Poly, d: int, xq: Poly | None):
     """Factor a squarefree monic product of degree-``d`` irreducibles.
 
-    Deterministic Cantor–Zassenhaus for odd field order: candidate splitting
-    polynomials are drawn from a fixed enumeration.
+    Deterministic Cantor–Zassenhaus for odd field order q: candidate
+    splitting polynomials are drawn from a fixed enumeration, and each
+    h^((q^d - 1)/2) is taken as a norm power.  ``xq`` is x^q mod f, as the
+    distinct-degree factorization gives it; it is read only when d > 1.
     """
     K = f.ring
     q = K.order
@@ -134,8 +196,8 @@ def equal_degree_factorization(f: Poly, d: int):
         raise NotImplementedError("even field order is not supported")
     if f.degree == d:
         return [f.monic()]
-    e = (q ** d - 1) // 2
     work = [f.monic()]
+    images = _power_images(xq, work[0], d)
     done = []
     gen = _splitting_elements(f)
     while work:
@@ -145,7 +207,7 @@ def equal_degree_factorization(f: Poly, d: int):
             if g.degree == d:
                 done.append(g)
                 continue
-            t = powmod(h, e, g) - Poly.one(K)
+            t = _half_power(h, g, q, images, _identity) - Poly.one(K)
             u = gcd_field(t, g)
             if 0 < u.degree < g.degree:
                 u = u.monic()
@@ -160,14 +222,19 @@ def equal_degree_factorization(f: Poly, d: int):
     return done
 
 
+def _identity(c):
+    return c
+
+
 def _degree_parts(f: Poly):
-    """(d, part, multiplicity) for f over a finite field: ``part`` is the
-    monic product of the degree-``d`` irreducible factors that divide f
-    exactly ``multiplicity`` times.  One squarefree decomposition and one
-    distinct-degree factorization per squarefree factor."""
+    """(d, part, xq, multiplicity) for f over a finite field F_q: ``part`` is
+    the monic product of the degree-``d`` irreducible factors that divide f
+    exactly ``multiplicity`` times, and ``xq`` is x^q mod part.  One
+    squarefree decomposition and one distinct-degree factorization per
+    squarefree factor."""
     for g, mult in squarefree_decomposition(f.monic()):
-        for d, part in distinct_degree_factorization(g):
-            yield d, part, mult
+        for d, part, xq in distinct_degree_factorization(g):
+            yield d, part, xq, mult
 
 
 def irreducible_factors(f: Poly):
@@ -181,8 +248,8 @@ def irreducible_factors(f: Poly):
         raise ValueError("factorization of the zero polynomial")
     factors = [
         (irr, mult)
-        for d, part, mult in _degree_parts(f)
-        for irr in equal_degree_factorization(part, d)
+        for d, part, xq, mult in _degree_parts(f)
+        for irr in equal_degree_factorization(part, d, xq)
     ]
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
     return f.lc(), factors
@@ -191,18 +258,29 @@ def irreducible_factors(f: Poly):
 def splitting_degrees(f: Poly):
     """Degrees (with multiplicity of distinct factors) of the irreducible
     factors of ``f`` over its finite coefficient field."""
-    return sorted(d for d, part, _ in _degree_parts(f) for _ in range(part.degree // d))
+    return sorted(d for d, part, _, _ in _degree_parts(f) for _ in range(part.degree // d))
 
 
-def _one_root(g: Poly):
-    """One root of a squarefree monic g that splits into linear factors over
-    its field: Cantor-Zassenhaus splits, keeping the smaller part each time,
-    until a linear factor is left."""
+def _one_root(g: Poly, xp: Poly | None):
+    """One root of a squarefree monic g over K = GF(p^m) (or F_p) whose
+    coefficients lie in F_p and whose irreducible factors over F_p have
+    degrees dividing m: Cantor-Zassenhaus splits, keeping the smaller part
+    each time, until a linear factor is left.  Each h^((p^m - 1)/2) is a norm
+    power over the images x^(p^i) mod g, taken once over F_p from ``xp``,
+    x^p mod g over F_p; xp is read only when m > 1."""
     K = g.ring
-    e = (K.order - 1) // 2
+    F = GF(K.char)
+    base = [K.in_base(c) for c in g.coeffs]
+    if None in base:
+        raise TypeError(f"{g!r} has a coefficient outside {F!r}")
+    # x^(p^i) mod g stays a valid image modulo every factor of g in K[x]
+    images = [
+        X.map_coeffs(K, K.from_base) for X in _power_images(xp, Poly(F, base), K.degree)
+    ]
     draws = _splitting_elements(g)
     while g.degree > 1:
-        u = gcd_field(powmod(next(draws), e, g) - Poly.one(K), g)
+        power = _half_power(next(draws), g, F.p, images, K.frobenius)
+        u = gcd_field(power - Poly.one(K), g)
         if 0 < u.degree < g.degree:
             u = u.monic()
             v, _ = poly_divmod(g, u)
@@ -211,16 +289,17 @@ def _one_root(g: Poly):
 
 
 def _roots_of_parts(K, parts):
-    """Sorted roots in K of the parts ``(d, g)`` of a polynomial over F_p,
-    each d dividing the degree of K: g is split over F_p, and each of its
-    irreducible factors gives one root in K and that root's Frobenius orbit."""
+    """Sorted roots in K of the parts ``(d, g, xp)`` of a polynomial over
+    F_p, each d dividing the degree of K and xp = x^p mod g (unused when
+    d = 1): g is split over F_p, and each of its irreducible factors gives
+    one root in K and that root's Frobenius orbit."""
     out = []
-    for d, g in parts:
-        for irr in equal_degree_factorization(g, d):
+    for d, g, xp in parts:
+        for irr in equal_degree_factorization(g, d, xp):
             if d == 1:
                 out.append(K.from_base(-irr.coeff(0)))
                 continue
-            r = _one_root(irr.map_coeffs(K, K.from_base))
+            r = _one_root(irr.map_coeffs(K, K.from_base), poly_divmod(xp, irr)[1])
             for _ in range(d):
                 out.append(r)
                 r = K.frobenius(r)
@@ -243,7 +322,7 @@ def roots(f: Poly, K=None):
     g = gcd_field(powmod(x, K.order, f) - x, f)
     if g.degree == 0:
         return []
-    parts = [(1, g)] if K.degree == 1 else distinct_degree_factorization(g)
+    parts = [(1, g, None)] if K.degree == 1 else distinct_degree_factorization(g)
     return _roots_of_parts(K, parts)
 
 
@@ -254,7 +333,7 @@ def splitting_field(F, *polys):
     Each polynomial is factored once, for both m and its roots."""
     if not isinstance(F, PrimeField):
         raise TypeError("expected polynomials over a prime field")
-    parts = [[(d, g) for d, g, _ in _degree_parts(f)] for f in polys]
-    m = lcm(*(d for ps in parts for d, _ in ps))
+    parts = [[(d, g, xp) for d, g, xp, _ in _degree_parts(f)] for f in polys]
+    m = lcm(*(d for ps in parts for d, _, _ in ps))
     K = F if m == 1 else GFext(F.p, m)
     return K, [_roots_of_parts(K, ps) for ps in parts]

@@ -23,6 +23,7 @@ from jacpairs.exact.roots import (
     _one_root,
     equal_degree_factorization,
     irreducible_factors,
+    powmod,
     roots,
     splitting_degrees,
     splitting_field,
@@ -377,9 +378,25 @@ class TestRoots:
         F = GF(7)
         x = Poly.gen(F)
         with pytest.raises(ArithmeticError, match="did not split"):
-            _one_root(x**2 + 1)
+            _one_root(x**2 + 1, None)
         with pytest.raises(ArithmeticError, match="did not split"):
-            equal_degree_factorization(x**2 + 1, 1)
+            equal_degree_factorization(x**2 + 1, 1, None)
+
+    def test_one_root_stops_on_a_cubic_that_stays_irreducible(self):
+        # x^3 - 2 is irreducible over F_7 (2 is not a cube mod 7) and stays
+        # so over GF(7^2), since 3 does not divide 2: every norm power is
+        # taken, and none splits it
+        K = GFext(7, 2)
+        cubic = Poly.gen(GF(7)) ** 3 - 2
+        xp = powmod(Poly.gen(GF(7)), 7, cubic)
+        with pytest.raises(ArithmeticError, match="did not split"):
+            _one_root(cubic.map_coeffs(K, K.from_base), xp)
+
+    def test_one_root_needs_coefficients_in_the_prime_field(self):
+        K = GFext(7, 2)
+        x = Poly.gen(K)
+        with pytest.raises(TypeError, match="outside GF\\(7\\)"):
+            _one_root(x**2 + Poly.constant(K, K.gen), None)
 
 
 class TestSerialize:

@@ -2,6 +2,7 @@
 parameterizations, specialization, and validity handling."""
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,6 +23,7 @@ from jacpairs.families import (
     family_identity_check,
     family_sextic,
     family_spec,
+    scalar_in,
     symbolic_kappa_check,
     weierstrass_at,
     x0_jpair,
@@ -210,6 +212,46 @@ class TestValidityLocus:
         quotient, rem = poly_divmod(spec.validity_t, Poly.from_ints(ZZ, factor))
         assert rem.is_zero()
         assert _may_vanish_off_locus(replace(spec, validity_t=quotient))
+
+
+def _monic_product_mod(factors, F):
+    out = Poly.one(F)
+    for fac in factors:
+        out = out * fac.map_coeffs(F, partial(scalar_in, F))
+    return out.monic()
+
+
+# The one misprint among the summary phrasings: (printed, intended) factor
+# coefficients, and the words of the record's note that name it.
+_STATEMENT_ERRATA = {
+    ("deg7", 17): ((1, 8, 1), (10, 8, 1), "t^2+8t+1 is read as t^2+8t+10"),
+}
+_EXCEPTIONAL = [(fid, case.p) for fid in FAMILY_IDS for case in family_spec(fid).exceptional]
+
+
+class TestExceptionalRecords:
+    """Each record's ``statement_factors`` (the loci as the paper's summary
+    phrases them) multiply mod p to its ``locus_factors`` up to a unit,
+    except where its ``note`` records the misprint that makes them differ."""
+
+    @pytest.mark.parametrize("fid,p", _EXCEPTIONAL, ids=[f"{f}@{p}" for f, p in _EXCEPTIONAL])
+    def test_statement_matches_the_locus_mod_p(self, fid, p):
+        case = next(c for c in family_spec(fid).exceptional if c.p == p)
+        F = GF(p)
+        locus = _monic_product_mod(case.locus_factors, F)
+        stated = list(case.statement_factors)
+        if (fid, p) in _STATEMENT_ERRATA:
+            printed, intended, words = _STATEMENT_ERRATA[fid, p]
+            assert words in case.note
+            assert _monic_product_mod(stated, F) != locus
+            printed = Poly.from_ints(ZZ, printed)
+            assert stated.count(printed) == 1
+            stated[stated.index(printed)] = Poly.from_ints(ZZ, intended)
+        assert _monic_product_mod(stated, F) == locus
+
+    def test_every_record_is_checked(self):
+        assert len(_EXCEPTIONAL) == 8
+        assert set(_STATEMENT_ERRATA) <= set(_EXCEPTIONAL)
 
 
 @pytest.mark.parametrize("fid", FAMILY_IDS)

@@ -8,8 +8,10 @@ results of polynomial arithmetic; long division by a non-unit leading
 coefficient over Z and Z[t] against the quotient and remainder it was built
 from; the closed-form discriminants of cubics and even polynomials against
 the Sylvester determinant; and the discriminant over GF(p) against the one
-over Z reduced mod p.  ``derandomize=True`` draws the same inputs on every
-run."""
+over Z reduced mod p; the Cantor-Zassenhaus norm power against the plain
+power, the linear Frobenius of GF(p^m) against the p-th power, and the
+roots ``_one_root`` finds against evaluation.  ``derandomize=True`` draws
+the same inputs on every run."""
 import itertools
 from fractions import Fraction
 
@@ -27,7 +29,15 @@ from jacpairs.exact.poly import (
     squarefree_decomposition,
 )
 from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext, ring_pow
-from jacpairs.exact.roots import irreducible_factors, roots, splitting_degrees
+from jacpairs.exact.roots import (
+    _half_power,
+    _one_root,
+    _power_images,
+    irreducible_factors,
+    powmod,
+    roots,
+    splitting_degrees,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -436,3 +446,75 @@ def test_discriminant_commutes_with_reduction_mod_p(case):
     p, f = case
     F = GF(p)
     assert discriminant(f.map_coeffs(F, F.from_int)) == discriminant(f) % p
+
+
+@st.composite
+def norm_power_cases(draw):
+    """K = GF(p^k) with p in {3, 11, 7919} and k = 1 to 6, f over F_p a
+    product of one to three monic factors of degree 1 to 3, and h over K of
+    degree 1 to 3 with random coordinates, so that for k > 1 the coefficient
+    Frobenius of the norm moves them."""
+    K = draw(st.sampled_from(INV_FIELDS))
+    F = GF(K.p)
+    f = Poly.one(F)
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        f = f * Poly(F, draw(st.lists(st.integers(0, K.p - 1), min_size=d, max_size=d)) + [1])
+    element = st.lists(st.integers(0, K.p - 1), min_size=K.m, max_size=K.m).map(tuple)
+    d = draw(st.integers(1, 3))
+    h = Poly(K, draw(st.lists(element, min_size=d, max_size=d)) + [draw(element.filter(any))])
+    return K, f, h
+
+
+@PROPERTY
+@given(norm_power_cases())
+def test_norm_power_is_the_plain_power(case):
+    K, f, h = case
+    p, k = K.p, K.m
+    images = _power_images(powmod(Poly.gen(f.ring), p, f), f, k)
+    assert len(images) == k - 1
+    lifted = f.map_coeffs(K, K.from_base)
+    images = [X.map_coeffs(K, K.from_base) for X in images]
+    assert _half_power(h, lifted, p, images, K.frobenius) == powmod(h, (p**k - 1) // 2, lifted)
+
+
+@PROPERTY
+@given(nonzero_elements())
+def test_linear_frobenius_is_the_pth_power(case):
+    K, a = case
+    assert K.frobenius(a) == K.pow(a, K.p)
+    assert K.frobenius(K.zero) == K.zero
+
+
+@st.composite
+def split_products(draw):
+    """K = GF(7919^m) for m in {2, 3, 6} and g over F_7919: one or two
+    distinct monic irreducibles, each of a degree d dividing m, drawn as
+    M(ax + c) made monic, for M the modulus of GF(7919^d) and a != 0."""
+    m = draw(st.sampled_from([2, 3, 6]))
+    K = GFext(7919, m)
+    F = GF(7919)
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        modulus = Poly(F, GFext(7919, d).modulus)
+        shift = Poly(F, [draw(st.integers(0, 7918)), draw(st.integers(1, 7918))])
+        g = modulus.evaluate(shift).monic()
+        if g not in factors:
+            factors.append(g)
+    return K, factors
+
+
+@PROPERTY
+@given(split_products())
+def test_one_root_is_a_root_of_each_factor(case):
+    K, factors = case
+    lifted = [fac.map_coeffs(K, K.from_base) for fac in factors]
+    for fac, fac_K in zip(factors, lifted):
+        r = _one_root(fac_K, powmod(Poly.gen(fac.ring), K.p, fac))
+        assert K.is_zero(fac_K.evaluate(r))
+    g = Poly.one(factors[0].ring)
+    for fac in factors:
+        g = g * fac
+    r = _one_root(g.map_coeffs(K, K.from_base), powmod(Poly.gen(g.ring), K.p, g))
+    assert any(K.is_zero(fac_K.evaluate(r)) for fac_K in lifted)

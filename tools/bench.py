@@ -1,0 +1,230 @@
+#!/usr/bin/env python3
+"""Layer and end-to-end timings of one jacpairs checkout, as one JSON record.
+
+    python3 tools/bench.py --out BENCH_16.json --baseline ../parent-checkout
+    python3 tools/bench.py --out now.json
+
+Layers: the arithmetic the checks run on, each called on fixed inputs in a
+fresh interpreter over the checkout's sources.  After one warm-up call (so
+the field and modulus caches are built; `_default_modulus` is timed
+uncached), calls are timed in 7 batches of at least 5 ms each.  Three
+interpreters run per checkout, taking turns with the baseline's, and the
+record keeps the median seconds per call over them.
+
+End to end, each as a subprocess of the checkout: the last JSON line of
+``bench/run.py --workload all --seconds 12`` (gauged times), the median
+wall time of three ``jacpairs reproduce --all`` runs, and the wall time of
+one Tier-1 run with its pytest summary line.
+
+With ``--baseline`` that checkout is measured first, then the one holding
+this script, and the record holds both ("baseline", "checkout"): a speed
+claim compares such a pair, taken on one host one after the other.  The
+host's speed drifts, so raw times are indicative only.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BATCHES = 7
+MIN_BATCH_S = 0.005
+LAYER_ROUNDS = 3
+BENCH_SECONDS = 12  # bench/run.py --seconds, per workload
+
+
+def _median_call_s(fn):
+    fn()
+    n = 1
+    while True:
+        t0 = time.perf_counter()
+        for _ in range(n):
+            fn()
+        if time.perf_counter() - t0 >= MIN_BATCH_S:
+            break
+        n *= 2
+    times = []
+    for _ in range(BATCHES):
+        t0 = time.perf_counter()
+        for _ in range(n):
+            fn()
+        times.append((time.perf_counter() - t0) / n)
+    return statistics.median(times)
+
+
+def _layer_cases():
+    """name -> zero-argument call, on inputs fixed here."""
+    import random
+    from itertools import permutations
+
+    from jacpairs.exact.poly import Poly, resultant
+    from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
+    from jacpairs.exact.roots import roots, splitting_field
+    from jacpairs.families import eval_poly, family_spec, weierstrass_at
+    from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
+    from jacpairs.igusa.invariants import igusa_vector
+
+    rng = random.Random(20261019)
+    p = 7919
+    F = GF(p)
+    K3, K6 = GFext(p, 3), GFext(p, 6)
+    a, b = (tuple(rng.randrange(1, p) for _ in range(3)) for _ in range(2))
+    quad = Poly.from_ints(F, [1, 0, 1])  # -1 is a non-residue mod 7919
+    cubic = Poly.from_ints(F, [3, 1, 0, 1])  # irreducible over F_7919
+    sextic = Poly.from_ints(F, [3, 1, 0, 0, 0, 0, 1])  # irreducible over F_7919
+    x = Poly.gen(F)
+    split_2 = (x - 5) * quad
+    roots_6 = (x - 5) * quad * cubic * sextic
+    for f, m in ((split_2, 2), (cubic, 3)):
+        assert splitting_field(F, f)[0].degree == m
+    assert len(roots(roots_6, K6)) == 12
+
+    def int_poly(deg, digits):
+        return Poly(ZZ, [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(deg + 1)])
+
+    res_a, res_b = int_poly(12, 20), int_poly(10, 20)
+    even = Poly.from_ints(F, [7, 0, 5, 0, 3, 0, 1])
+    dense = Poly.from_ints(F, [3, 1, 4, 1, 5, 9, 2])
+
+    # glue_p10 on the first pairing that glues, for howe2 at p = 1009, t = 5
+    spec = family_spec("howe2")
+    G = GF(1009)
+    s = eval_poly(spec.s_of_t, G, G.from_int(5))
+    cubics = [weierstrass_at(spec, G, s, prime=prime).cubic for prime in (False, True)]
+    K, (rts_f, rts_g) = splitting_field(G, *cubics)
+    cf, cg = (c.map_coeffs(K, K.from_base) for c in cubics)
+    for perm in sorted(permutations(range(3))):
+        glue_input = GlueInput(cf, cg, tuple(rts_f), tuple(rts_g[i] for i in perm))
+        try:
+            glue_p10(glue_input)
+            break
+        except GlueError:
+            continue
+    else:
+        raise RuntimeError("no pairing glues")
+    deg3 = family_spec("deg3")
+
+    return {
+        "ExtField.mul[7919^3]": lambda: K3.mul(a, b),
+        "ExtField.inv[7919^3]": lambda: K3.inv(a),
+        "ExtField.frobenius[7919^3]": lambda: K3.frobenius(a),
+        "_default_modulus[1013^3]": lambda: _default_modulus.__wrapped__(1013, 3),
+        "splitting_field[cubic, roots in GF(7919^2)]": lambda: splitting_field(F, split_2),
+        "splitting_field[cubic, roots in GF(7919^3)]": lambda: splitting_field(F, cubic),
+        "roots[degree 12 in GF(7919^6)]": lambda: roots(roots_6, K6),
+        "poly.resultant[Z, degrees 12 and 10, 20 digits]": lambda: resultant(res_a, res_b),
+        "igusa_vector[even sextic over F_7919]": lambda: igusa_vector(even),
+        "igusa_vector[dense sextic over F_7919]": lambda: igusa_vector(dense),
+        "glue_p10[howe2@1009:t=5]": lambda: glue_p10(glue_input),
+        "verify_reconstruction[deg3@522719:t=454676]": lambda: verify_reconstruction(
+            deg3, 522719, 454676
+        ),
+    }
+
+
+def _layers():
+    return {name: _median_call_s(fn) for name, fn in _layer_cases().items()}
+
+
+def _run(cmd, root, **kw):
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, **kw)
+    return proc, time.perf_counter() - t0
+
+
+def _last_line(text):
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def _src_sha256(root):
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root / "src").as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _layer_rounds(roots: dict) -> dict:
+    """label -> layer name -> median seconds per call over LAYER_ROUNDS
+    interpreters per checkout, the checkouts taking turns."""
+    rounds = {label: [] for label in roots}
+    for _ in range(LAYER_ROUNDS):
+        for label, root in roots.items():
+            cmd = [sys.executable, str(Path(__file__).resolve()), "--child-layers"]
+            proc, _ = _run(cmd, root)
+            if proc.returncode != 0:
+                raise RuntimeError(f"layer timings failed:\n{proc.stderr[-2000:]}")
+            rounds[label].append(json.loads(_last_line(proc.stdout)))
+    return {
+        label: {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+        for label, runs in rounds.items()
+    }
+
+
+def _end_to_end(root: Path) -> dict:
+    py = sys.executable
+    cmd = [py, "bench/run.py", "--workload", "all", "--seed", "1", "--seconds", str(BENCH_SECONDS)]
+    proc, bench_s = _run(cmd, root)
+    bench = json.loads(_last_line(proc.stdout)) if proc.returncode in (0, 1) else None
+
+    reproduce = [py, "-c", "from jacpairs.cli import main; main()", "reproduce", "--all"]
+    runs = [_run(reproduce, root) for _ in range(3)]
+    tier1, tier1_s = _run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider"], root)
+    return {
+        "bench_all": {"exit": proc.returncode, "wall_s": bench_s, "result": bench},
+        "reproduce_all": {
+            "exit": [r.returncode for r, _ in runs],
+            "median_wall_s": statistics.median(s for _, s in runs),
+        },
+        "tier1": {"exit": tier1.returncode, "wall_s": tier1_s, "summary": _last_line(tier1.stdout)},
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--out", help="the JSON record to write")
+    parser.add_argument("--baseline", type=Path, help="another checkout, timed first")
+    parser.add_argument("--child-layers", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child_layers:
+        print(json.dumps(_layers()))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    roots = {"checkout": ROOT}
+    if args.baseline:
+        roots = {"baseline": args.baseline.resolve(), **roots}
+    record = {
+        "host": {
+            "machine": platform.machine(),
+            "processor": platform.processor(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+        },
+        "seconds_per_workload": BENCH_SECONDS,
+    }
+    layers = _layer_rounds(roots)
+    for label, root in roots.items():
+        record[label] = {
+            "src_sha256": _src_sha256(root),
+            "layers_median_s": layers[label],
+            **_end_to_end(root),
+        }
+    Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
