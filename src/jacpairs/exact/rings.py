@@ -12,12 +12,17 @@ splitting field need not ask which of the two it got.  The modulus of
 GF(p^m) is the first monic irreducible in a fixed order; irreducibility is
 decided by the same distinct-degree factorization the ``roots`` module
 uses.
+
+``ResidueRing`` is not a coefficient ring of this kind: it is the kernel
+for K[x]/(f) on flat int lists that every power of the ``roots`` module is
+taken in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul as _mul
 
 from .integers import is_perfect_square, is_prime
 
@@ -225,6 +230,150 @@ def _poly_mulmod(a, b, modulus, p):
             for j in range(m):
                 prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
     return tuple(prod[:m]) if len(prod) >= m else tuple(prod) + (0,) * (m - len(prod))
+
+
+class ResidueRing:
+    """K[x]/(f) for a monic f over K = F_p or K = GF(p^m) = F_p[y]/(M), on
+    plain ints: the ring every power of the ``roots`` module is taken in.
+
+    A residue a_0 + a_1 x + ... + a_{n-1} x^(n-1), n = deg f, is a flat list
+    of n*m ints in [0, p): the coordinates of a_j over F_p are entries
+    j*m, ..., j*m + m - 1.  ``mul`` forms the bivariate product in x and y,
+    reduces it once by f and by M, and takes ``% p`` once per output entry;
+    zero entries of the factors, of f and of M are skipped, so an f with
+    F_p coefficients or a sparse operand costs little.  ``frobenius`` is the
+    p-th power map
+
+        Phi(sum a_j x^j) = sum sigma(a_j) (x^p mod f)^j,
+
+    with sigma the Frobenius of K (the identity when m = 1).  Phi is
+    F_p-linear, so it is one matrix: its row for the basis element y^k x^j
+    is sigma(y^k) * x^(jp) mod f, built on first use from x^p mod f and
+    ``ExtField``'s Frobenius rows.
+    """
+
+    def __init__(self, K, f, xp=None):
+        """``f``: the coefficients of a monic f over K of degree >= 1, low to
+        high; ``xp``: x^p mod f as K coefficients, if the caller has it."""
+        self.K = K
+        self._tuples = isinstance(K.one, tuple)  # ExtField elements, even at m = 1
+        self.p = K.char
+        self.m = m = K.degree
+        self.n = n = len(f) - 1
+        self._W = W = 2 * m - 1  # stride of the y-coordinates in a product
+        self._pos = [j * W + k for j in range(n) for k in range(m)]
+        # y^m = -sum_l M_l y^l and x^n = -sum_j f_j x^j, nonzero terms only
+        self._M = [(l, c) for l, c in enumerate(K.modulus[:m]) if c] if m > 1 else []
+        self._f = [
+            (j * W + l, c)
+            for j, fj in enumerate(f[:n])
+            for l, c in enumerate(self._coords(fj))
+            if c
+        ]
+        self.one = self.from_coeffs([K.one])
+        self.x = self.from_coeffs([K.zero, K.one])
+        self._xp = None if xp is None else self.from_coeffs(xp)
+        self._columns = None
+
+    def _coords(self, c):
+        return c if self._tuples else (c,)
+
+    def from_coeffs(self, coeffs):
+        """The residue of sum c_j x^j, for any number of K coefficients."""
+        W, m = self._W, self.m
+        wide = [0] * (max(len(coeffs), self.n) * W)
+        for j, c in enumerate(coeffs):
+            wide[j * W : j * W + m] = self._coords(c)
+        return self._reduce(wide)
+
+    def coeffs(self, a):
+        """The K coefficients a_0, ..., a_{n-1} of a residue."""
+        if not self._tuples:
+            return list(a)
+        m = self.m
+        return [tuple(a[i : i + m]) for i in range(0, len(a), m)]
+
+    def _reduce(self, wide):
+        """The flat residue of a product laid out with stride W = 2m - 1:
+        each x-slot from the top down to n is reduced mod M, taken mod p and
+        folded into the slots below it by f; then the n low slots are
+        reduced mod M, and every entry is taken mod p once."""
+        p, m, n, W = self.p, self.m, self.n, self._W
+        f = self._f
+        for base in range(len(wide) - W, n * W - 1, -W):
+            if m > 1:
+                self._reduce_y(wide, base)
+            low = base - n * W
+            for k in range(base, base + m):
+                c = wide[k] % p
+                if c:
+                    for off, v in f:
+                        wide[low + off] -= c * v
+                low += 1
+        if m > 1:
+            for base in range(0, n * W, W):
+                self._reduce_y(wide, base)
+        return [wide[i] % p for i in self._pos]
+
+    def _reduce_y(self, wide, base):
+        """Reduce the y-coordinates of the slot at ``base`` mod M, without
+        taking them mod p."""
+        m = self.m
+        for k in range(base + self._W - 1, base + m - 1, -1):
+            c = wide[k]
+            if c:
+                for l, v in self._M:
+                    wide[k - m + l] -= c * v
+
+    def mul(self, a, b):
+        pos = self._pos
+        wide = [0] * ((2 * self.n - 1) * self._W)
+        terms = [(pos[j], bj) for j, bj in enumerate(b) if bj]
+        for i, ai in enumerate(a):
+            if ai:
+                base = pos[i]
+                for off, bj in terms:
+                    wide[base + off] += ai * bj
+        return self._reduce(wide)
+
+    def pow(self, a, e):
+        """a^e for e >= 0, left to right, so each multiply by a is as sparse
+        as a (one term for a = x)."""
+        if e == 0:
+            return self.one
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    @property
+    def xp(self):
+        """x^p mod f."""
+        if self._xp is None:
+            self._xp = self.pow(self.x, self.p)
+        return self._xp
+
+    def frobenius(self, a, times=1):
+        """Phi^times(a), that is a^(p^times)."""
+        if times and self._columns is None:
+            self._columns = self._frobenius_columns()
+        p = self.p
+        for _ in range(times):
+            a = [sum(map(_mul, a, col)) % p for col in self._columns]
+        return a
+
+    def _frobenius_columns(self):
+        K, m = self.K, self.m
+        sigma = K._frobenius_rows if m > 1 else (K.one,)
+        rows = []
+        power = self.one  # x^(jp) mod f
+        for j in range(self.n):
+            if j:
+                power = self.mul(power, self.xp)
+            rows.extend(self.mul(self.from_coeffs([s]), power) for s in sigma)
+        return list(zip(*rows))
 
 
 def _poly_invmod(a, modulus, p):

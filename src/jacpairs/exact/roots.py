@@ -5,31 +5,43 @@ enumeration order, so repeated runs produce identical factor and root
 orderings.
 
 Roots are taken of polynomials over F_p, in F_p or in an extension
-GF(p^m), by one path.  Over F_p, where the arithmetic is on plain ints, the
-polynomial is cut into parts (d, product of its irreducible factors of
-degree d) with d | m, and each part is split into its irreducible factors.
-One root of each factor is found by Cantor-Zassenhaus splitting in GF(p^m);
-the other roots are its images under x -> x^p.  ``roots`` takes the parts
-from gcd(x^(p^m) - x, f); ``splitting_field`` takes them from the
-squarefree and distinct-degree factorization that also gives it m.
+GF(p^m), by one path.  Over F_p the polynomial is cut into parts (d,
+product of its irreducible factors of degree d) with d | m, and each part
+is split into its irreducible factors.  One root of each factor is found by
+Cantor-Zassenhaus splitting in GF(p^m); the other roots are its images
+under x -> x^p.  ``roots`` takes the parts from gcd(x^(p^m) - x, f);
+``splitting_field`` takes them from the squarefree and distinct-degree
+factorization that also gives it m.
 
-Each Cantor-Zassenhaus step needs h^((r^k - 1)/2) mod g, for a draw h over
-a field K of characteristic p, r a power of p (r = q, k = d when a part is
-split over its own field F_q; r = p, k = m when a root is found in
-GF(p^m)).  It is computed as a norm power, exactly:
+Every power is taken in one kernel, ``rings.ResidueRing``: residues modulo
+a monic f over K = F_p or GF(p^m), as flat lists of plain ints.  Besides
+multiply and power it has the p-th power map
 
-    (r^k - 1)/2 = (r - 1)/2 * (1 + r + ... + r^(k-1)),   so
-    h^((r^k - 1)/2) = N^((r - 1)/2),   N = h * h^r * ... * h^(r^(k-1)),
+    Phi(sum a_j x^j) = sum sigma(a_j) (x^p mod f)^j,    sigma: c -> c^p on K,
 
-and h^(r^i) = (s^i h)(x^(r^i)) in K[x], where s is c -> c^r on the
-coefficients, because the r-th power is a ring map in characteristic p.
-The images x^(r^i) mod g come from x^r mod g through the linear map
-sum a_j x^j -> sum a_j (x^r)^j, which is the r-th power on F_r[x]/(g) when
-g has coefficients in F_r; for a root in GF(p^m) they are taken over F_p
-and lifted.  So a power with a k*log(r)-bit exponent becomes one with a
-log(r)-bit exponent, k - 1 products and k - 1 coefficient maps, and the
-value, hence every split and every root, is the same.  For k = 1 it is
-the plain power.
+which is F_p-linear, hence one matrix built from x^p mod f.  Powering is
+needed only for x^p; every higher Frobenius image comes from Phi:
+
+- ``roots``: x^(p^m) = Phi^(m-1)(x^p), modulo f over F_p;
+- ``distinct_degree_factorization``: x^(q^d) = Phi_q(x^(q^(d-1))), where
+  Phi_q = Phi^(log_p q) is the q-th power map, modulo the input f;
+- each Cantor-Zassenhaus step needs h^((r^k - 1)/2) for a draw h, r = q
+  and k = d when a part is split over its own field F_q, r = p and k = m
+  when a root is found in GF(p^m).  Since
+
+      (r^k - 1)/2 = (r - 1)/2 * (1 + r + ... + r^(k-1)),
+
+  it is the norm power N^((r - 1)/2), N = h * Phi_r(h) * ... *
+  Phi_r^(k-1)(h): k - 1 linear maps, k - 1 products and a log(r)-bit
+  power.  It is taken modulo the part (or, for a root, modulo the factor
+  over F_p), then reduced modulo the factor being split.
+
+Phi^i(h) is h^(p^i) and reducing modulo a divisor commutes with the ring
+operations, so every power has the value the plain square-and-multiply
+power would give; hence every split, root and root order is the same.
+Before drawing, each splitter checks that the power map fixes x (and y,
+the generator of K) after as many steps as the input allows: input that
+cannot split, or a broken map, raises at once instead of drawing.
 """
 from __future__ import annotations
 
@@ -41,22 +53,16 @@ from .poly import (
     poly_divmod,
     squarefree_decomposition,
 )
-from .rings import GF, GFext, PrimeField
+from .rings import GF, GFext, PrimeField, ResidueRing
 
 
-def powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
-    """base**exp reduced mod modulus, over a field."""
-    if exp < 0:
-        raise ValueError("negative exponent")
-    _, r = poly_divmod(base, modulus)
-    result = Poly.one(base.ring)
-    while exp:
-        if exp & 1:
-            _, result = poly_divmod(result * r, modulus)
-        exp >>= 1
-        if exp:
-            _, r = poly_divmod(r * r, modulus)
-    return result
+def _poly(R, a):
+    """A residue of R as a Poly over its field."""
+    return Poly(R.K, R.coeffs(a))
+
+
+def _not_split(f: Poly, why: str):
+    return ArithmeticError(f"{f!r} did not split: {why}")
 
 
 def distinct_degree_factorization(f: Poly):
@@ -65,15 +71,17 @@ def distinct_degree_factorization(f: Poly):
 
     Returns a list of triples ``(d, g, xq)`` where ``g`` is the (monic,
     nontrivial) product of all irreducible factors of degree ``d``, ordered
-    by ``d``, and ``xq`` is x^q mod g for q the order of the field.
+    by ``d``, and ``xq`` is x^q mod g for q the order of the field.  Each
+    level's x^(q^d) is the q-th power map applied to the one before, modulo
+    the input f.
     """
     K = f.ring
-    q = K.order
     f = f.monic()
+    R = ResidueRing(K, f.coeffs)
     out = []
     x = Poly.gen(K)
-    frob = x  # x^(q^d) mod f, updated per level
-    xq = None  # x^q mod the original f
+    frob = None  # x^(q^d) mod the input f, a residue of R
+    xq = None  # x^q mod the input f
     d = 0
     while f.degree > 0:
         d += 1
@@ -81,53 +89,28 @@ def distinct_degree_factorization(f: Poly):
             # xq is unset only when f was linear from the start: then x^q = x
             out.append((f.degree, f, poly_divmod(x if xq is None else xq, f)[1]))
             break
-        frob = powmod(frob, q, f)
-        if d == 1:
-            xq = frob
-        g = gcd_field(frob - x, f)
+        if frob is None:
+            frob = R.frobenius(R.xp, K.degree - 1)
+            xq = _poly(R, frob)
+        else:
+            frob = R.frobenius(frob, K.degree)
+        g = gcd_field(_poly(R, frob) - x, f)
         if g.degree > 0:
             g = g.monic()
             out.append((d, g, poly_divmod(xq, g)[1]))
             f, _ = poly_divmod(f, g)
             f = f.monic()
-            _, frob = poly_divmod(frob, f)
     return out
 
 
-def _power_images(xq: Poly, f: Poly, k: int):
-    """x^(q^i) mod f for 1 <= i < k, from xq = x^q mod f, where f has
-    coefficients in the field F_q.  On F_q[x]/(f) the q-th power is the
-    F_q-linear map sum a_j x^j -> sum a_j (x^q)^j; its rows x^(jq) mod f are
-    computed once, then each image is the map applied to the one before."""
-    if k <= 2:
-        return [xq][: k - 1]
-    R = f.ring
-    rows = [Poly.one(R), xq]
-    while len(rows) < f.degree:
-        rows.append(poly_divmod(rows[-1] * xq, f)[1])
-    images = [xq]
-    while len(images) < k - 1:
-        image = Poly.zero(R)
-        for a, row in zip(images[-1].coeffs, rows):
-            image = image + row.scale(a)
-        images.append(image)
-    return images
-
-
-def _half_power(h: Poly, g: Poly, r: int, images, conj):
-    """h^((r^k - 1)/2) mod g, as the norm power of the module docstring: r
-    is odd, ``images[i - 1]`` is x^(r^i) modulo a multiple of g for
-    1 <= i < k, and ``conj`` is c -> c^r on the coefficients of h."""
-    R = g.ring
-    norm, coeffs = h, h.coeffs
-    for image in images:
-        image = poly_divmod(image, g)[1]
-        coeffs = [conj(c) for c in coeffs]
-        term = Poly.zero(R)
-        for c in reversed(coeffs):
-            term = poly_divmod(term * image + Poly.constant(R, c), g)[1]
-        norm = poly_divmod(norm * term, g)[1]
-    return powmod(norm, (r - 1) // 2, g)
+def _norm_power(R, h, k, s):
+    """h^((r^k - 1)/2) in R for r = p^s, as the norm power of the module
+    docstring: N^((r - 1)/2), N = h * Phi^s(h) * ... * Phi^(s(k-1))(h)."""
+    norm = conj = h
+    for _ in range(k - 1):
+        conj = R.frobenius(conj, s)
+        norm = R.mul(norm, conj)
+    return R.pow(norm, (R.p**s - 1) // 2)
 
 
 def _splitmix64(state: int):
@@ -187,27 +170,30 @@ def equal_degree_factorization(f: Poly, d: int, xq: Poly | None):
 
     Deterministic Cantor–Zassenhaus for odd field order q: candidate
     splitting polynomials are drawn from a fixed enumeration, and each
-    h^((q^d - 1)/2) is taken as a norm power.  ``xq`` is x^q mod f, as the
-    distinct-degree factorization gives it; it is read only when d > 1.
+    h^((q^d - 1)/2) is taken once per draw as a norm power modulo f, then
+    reduced modulo each factor still to be split.  ``xq`` is x^q mod f, as
+    the distinct-degree factorization gives it, or None.  Before drawing,
+    the q-th power map must fix x after d steps, or f is not such a product.
     """
     K = f.ring
-    q = K.order
-    if q % 2 == 0:
+    if K.order % 2 == 0:
         raise NotImplementedError("even field order is not supported")
+    f = f.monic()
     if f.degree == d:
-        return [f.monic()]
-    work = [f.monic()]
-    images = _power_images(xq, work[0], d)
+        return [f]
+    m = K.degree
+    R = ResidueRing(K, f.coeffs, xq.coeffs if xq is not None and m == 1 else None)
+    X = R.frobenius(R.xp, m - 1) if xq is None else R.from_coeffs(xq.coeffs)
+    if R.frobenius(X, m * (d - 1)) != R.x:
+        raise _not_split(f, f"x^(q^{d}) - x is not a multiple of it")
+    work = [f]
     done = []
     gen = _splitting_elements(f)
     while work:
-        h = next(gen)
+        h = R.from_coeffs(next(gen).coeffs)
+        t = _poly(R, _norm_power(R, h, d, m)) - Poly.one(K)
         nxt = []
         for g in work:
-            if g.degree == d:
-                done.append(g)
-                continue
-            t = _half_power(h, g, q, images, _identity) - Poly.one(K)
             u = gcd_field(t, g)
             if 0 < u.degree < g.degree:
                 u = u.monic()
@@ -220,10 +206,6 @@ def equal_degree_factorization(f: Poly, d: int, xq: Poly | None):
         done.extend(g for g in nxt if g.degree == d)
     done.sort(key=lambda g: g.coeffs)
     return done
-
-
-def _identity(c):
-    return c
 
 
 def _degree_parts(f: Poly):
@@ -265,22 +247,26 @@ def _one_root(g: Poly, xp: Poly | None):
     """One root of a squarefree monic g over K = GF(p^m) (or F_p) whose
     coefficients lie in F_p and whose irreducible factors over F_p have
     degrees dividing m: Cantor-Zassenhaus splits, keeping the smaller part
-    each time, until a linear factor is left.  Each h^((p^m - 1)/2) is a norm
-    power over the images x^(p^i) mod g, taken once over F_p from ``xp``,
-    x^p mod g over F_p; xp is read only when m > 1."""
+    each time, until a linear factor is left.  Each h^((p^m - 1)/2) is the
+    norm power of the module docstring, taken modulo the input g and reduced
+    modulo the current factor.  ``xp`` is x^p mod g over F_p, or None.
+    Before drawing, the p-th power map must fix x and y after m steps and
+    agree with the power on y."""
     K = g.ring
-    F = GF(K.char)
-    base = [K.in_base(c) for c in g.coeffs]
-    if None in base:
-        raise TypeError(f"{g!r} has a coefficient outside {F!r}")
-    # x^(p^i) mod g stays a valid image modulo every factor of g in K[x]
-    images = [
-        X.map_coeffs(K, K.from_base) for X in _power_images(xp, Poly(F, base), K.degree)
-    ]
+    if any(K.in_base(c) is None for c in g.coeffs):
+        raise TypeError(f"{g!r} has a coefficient outside {GF(K.char)!r}")
+    m = K.degree
+    R = ResidueRing(K, g.coeffs, None if xp is None else [K.from_base(c) for c in xp.coeffs])
+    if R.frobenius(R.x, m) != R.x:
+        raise _not_split(g, f"x^(p^{m}) - x is not a multiple of it")
+    if m > 1:
+        y = R.from_coeffs([K.gen])
+        if R.frobenius(y, m) != y or R.frobenius(y) != R.pow(y, R.p):
+            raise _not_split(g, f"the p-th power map is not y -> y^p on {K!r}")
     draws = _splitting_elements(g)
     while g.degree > 1:
-        power = _half_power(next(draws), g, F.p, images, K.frobenius)
-        u = gcd_field(power - Poly.one(K), g)
+        h = R.from_coeffs(next(draws).coeffs)
+        u = gcd_field(_poly(R, _norm_power(R, h, m, 1)) - Poly.one(K), g)
         if 0 < u.degree < g.degree:
             u = u.monic()
             v, _ = poly_divmod(g, u)
@@ -318,11 +304,16 @@ def roots(f: Poly, K=None):
         raise TypeError(f"{K!r} does not contain {F!r}")
     if f.is_zero():
         raise ValueError("roots of the zero polynomial")
-    x = Poly.gen(F)
-    g = gcd_field(powmod(x, K.order, f) - x, f)
+    if f.degree == 0:
+        return []
+    R = ResidueRing(F, f.monic().coeffs)
+    g = gcd_field(_poly(R, R.frobenius(R.xp, K.degree - 1)) - Poly.gen(F), f)
     if g.degree == 0:
         return []
-    parts = [(1, g, None)] if K.degree == 1 else distinct_degree_factorization(g)
+    if K.degree > 1:
+        parts = distinct_degree_factorization(g)
+    else:
+        parts = [(1, g, poly_divmod(_poly(R, R.xp), g)[1])]
     return _roots_of_parts(K, parts)
 
 

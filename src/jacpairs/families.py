@@ -365,7 +365,6 @@ class FamilySpec:
     r_denominators: dict  # name -> Z[t] denominator of the weighted differences
     printed_primes: tuple  # characteristics dividing the resultant gcd
     exceptional: tuple  # ExceptionalCase entries, p > 5 only
-    validity_note: str = ""
 
     @property
     def parity(self) -> str:
@@ -542,6 +541,8 @@ def _build_deg4() -> FamilySpec:
         j_s=((s**2 - 16 * s + 16) ** 3, s * (s - 16)),
         j_prime_s=((s**2 + 224 * s + 256) ** 3, s * (s - 16) ** 4),
         s_of_t=16 * _TQ**2 + 16,
+        # the factor t appears in the detailed nonvanishing condition but not
+        # in the summary statement; it is included here
         validity_t=t
         * (t**2 + 1)
         * (2 * t**2 + 1)
@@ -582,8 +583,6 @@ def _build_deg4() -> FamilySpec:
                 "direct recomputation of the common zero locus",
             ),
         ),
-        validity_note="the factor t appears in the detailed nonvanishing "
-        "condition but not in the summary statement; it is included here",
     )
 
 

@@ -8,9 +8,11 @@ results of polynomial arithmetic; long division by a non-unit leading
 coefficient over Z and Z[t] against the quotient and remainder it was built
 from; the closed-form discriminants of cubics and even polynomials against
 the Sylvester determinant; and the discriminant over GF(p) against the one
-over Z reduced mod p; the Cantor-Zassenhaus norm power against the plain
-power, the linear Frobenius of GF(p^m) against the p-th power, and the
-roots ``_one_root`` finds against evaluation.  ``derandomize=True`` draws
+over Z reduced mod p; products, powers and the linear Frobenius of the
+residue ring K[x]/(f) against ``Poly`` arithmetic and a square-and-multiply
+power; the Cantor-Zassenhaus norm power against that power, the linear
+Frobenius of GF(p^m) against the p-th power, and the roots ``_one_root``
+finds against evaluation.  ``derandomize=True`` draws
 the same inputs on every run."""
 import itertools
 from fractions import Fraction
@@ -28,13 +30,11 @@ from jacpairs.exact.poly import (
     resultant_sylvester,
     squarefree_decomposition,
 )
-from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext, ring_pow
+from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext, ResidueRing, ring_pow
 from jacpairs.exact.roots import (
-    _half_power,
+    _norm_power,
     _one_root,
-    _power_images,
     irreducible_factors,
-    powmod,
     roots,
     splitting_degrees,
 )
@@ -448,6 +448,58 @@ def test_discriminant_commutes_with_reduction_mod_p(case):
     assert discriminant(f.map_coeffs(F, F.from_int)) == discriminant(f) % p
 
 
+def powmod(base, exp, modulus):
+    """base**exp mod modulus by square-and-multiply on ``Poly``: the oracle
+    for every power the residue ring takes."""
+    result, base = Poly.one(base.ring), poly_divmod(base, modulus)[1]
+    while exp:
+        if exp & 1:
+            result = poly_divmod(result * base, modulus)[1]
+        exp >>= 1
+        base = poly_divmod(base * base, modulus)[1]
+    return result
+
+
+@st.composite
+def residue_cases(draw):
+    """K = F_p or GF(p^m) with p in {3, 11, 7919} and m = 1 to 6, a monic f
+    over K of degree 1 to 6 whose other coefficients lie in F_p or anywhere
+    in K, and two polynomials over K of degree up to 2 deg f, so that taking
+    them into K[x]/(f) reduces them."""
+    K = draw(st.sampled_from([GF(p) for p in (3, 11, 7919)] + INV_FIELDS))
+    if isinstance(K, ExtField):
+        anywhere = st.lists(st.integers(0, K.p - 1), min_size=K.m, max_size=K.m).map(tuple)
+        in_base = st.integers(0, K.p - 1).map(K.from_base)
+    else:
+        anywhere = in_base = st.integers(0, K.p - 1)
+    n = draw(st.integers(1, 6))
+    coefficient = draw(st.sampled_from([in_base, anywhere]))
+    f = Poly(K, draw(st.lists(coefficient, min_size=n, max_size=n)) + [K.one])
+    a, b = (Poly(K, draw(st.lists(anywhere, max_size=2 * n + 1))) for _ in range(2))
+    return K, f, a, b
+
+
+@PROPERTY
+@given(residue_cases(), st.integers(0, 2**20))
+def test_residue_ring_is_polynomial_arithmetic_mod_f(case, e):
+    K, f, a, b = case
+    R = ResidueRing(K, f.coeffs)
+    A, B = R.from_coeffs(a.coeffs), R.from_coeffs(b.coeffs)
+    assert Poly(K, R.coeffs(A)) == poly_divmod(a, f)[1]
+    assert Poly(K, R.coeffs(R.mul(A, B))) == poly_divmod(a * b, f)[1]
+    assert Poly(K, R.coeffs(R.pow(A, e))) == powmod(a, e, f)
+
+
+@PROPERTY
+@given(residue_cases())
+def test_residue_frobenius_is_the_pth_power(case):
+    K, f, a, _ = case
+    R = ResidueRing(K, f.coeffs)
+    image = R.frobenius(R.from_coeffs(a.coeffs))
+    assert Poly(K, R.coeffs(image)) == powmod(a, K.p, f)
+    assert R.frobenius(image, 2) == R.frobenius(R.frobenius(image))
+
+
 @st.composite
 def norm_power_cases(draw):
     """K = GF(p^k) with p in {3, 11, 7919} and k = 1 to 6, f over F_p a
@@ -471,11 +523,10 @@ def norm_power_cases(draw):
 def test_norm_power_is_the_plain_power(case):
     K, f, h = case
     p, k = K.p, K.m
-    images = _power_images(powmod(Poly.gen(f.ring), p, f), f, k)
-    assert len(images) == k - 1
     lifted = f.map_coeffs(K, K.from_base)
-    images = [X.map_coeffs(K, K.from_base) for X in images]
-    assert _half_power(h, lifted, p, images, K.frobenius) == powmod(h, (p**k - 1) // 2, lifted)
+    R = ResidueRing(K, lifted.coeffs)
+    power = _norm_power(R, R.from_coeffs(h.coeffs), k, 1)
+    assert Poly(K, R.coeffs(power)) == powmod(h, (p**k - 1) // 2, lifted)
 
 
 @PROPERTY

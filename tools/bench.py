@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer and end-to-end timings of one jacpairs checkout, as one JSON record.
 
-    python3 tools/bench.py --out BENCH_16.json --baseline ../parent-checkout
+    python3 tools/bench.py --out BENCH_17.json --baseline ../parent-checkout
     python3 tools/bench.py --out now.json
 
 Layers: the arithmetic the checks run on, each called on fixed inputs in a
@@ -9,7 +9,11 @@ fresh interpreter over the checkout's sources.  After one warm-up call (so
 the field and modulus caches are built; `_default_modulus` is timed
 uncached), calls are timed in 7 batches of at least 5 ms each.  Three
 interpreters run per checkout, taking turns with the baseline's, and the
-record keeps the median seconds per call over them.
+record keeps the median seconds per call over them, raw and gauged.  The
+gauge is the benchmark's own loop (``bench/workload.gauge_s``), timed in
+the interpreter just before and just after each layer; a gauged time is
+raw seconds * ``NOMINAL_GAUGE_S`` / the mean of those two gauges, so the
+host's drift between interpreters cancels as it does in ``bench/run.py``.
 
 End to end, each as a subprocess of the checkout: the last JSON line of
 ``bench/run.py --workload all --seconds 12`` (gauged times), the median
@@ -67,7 +71,12 @@ def _layer_cases():
 
     from jacpairs.exact.poly import Poly, resultant
     from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
-    from jacpairs.exact.roots import roots, splitting_field
+    from jacpairs.exact.roots import (
+        distinct_degree_factorization,
+        irreducible_factors,
+        roots,
+        splitting_field,
+    )
     from jacpairs.families import eval_poly, family_spec, weierstrass_at
     from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
     from jacpairs.igusa.invariants import igusa_vector
@@ -86,6 +95,9 @@ def _layer_cases():
     for f, m in ((split_2, 2), (cubic, 3)):
         assert splitting_field(F, f)[0].degree == m
     assert len(roots(roots_6, K6)) == 12
+    linear_10 = Poly.one(F)
+    for c in range(1, 11):
+        linear_10 = linear_10 * (x - c)
 
     def int_poly(deg, digits):
         return Poly(ZZ, [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(deg + 1)])
@@ -120,6 +132,10 @@ def _layer_cases():
         "splitting_field[cubic, roots in GF(7919^2)]": lambda: splitting_field(F, split_2),
         "splitting_field[cubic, roots in GF(7919^3)]": lambda: splitting_field(F, cubic),
         "roots[degree 12 in GF(7919^6)]": lambda: roots(roots_6, K6),
+        "irreducible_factors[(x-1)...(x-10) over F_7919]": lambda: irreducible_factors(linear_10),
+        "distinct_degree_factorization[degree 12 over F_7919]": lambda: (
+            distinct_degree_factorization(roots_6)
+        ),
         "poly.resultant[Z, degrees 12 and 10, 20 digits]": lambda: resultant(res_a, res_b),
         "igusa_vector[even sextic over F_7919]": lambda: igusa_vector(even),
         "igusa_vector[dense sextic over F_7919]": lambda: igusa_vector(dense),
@@ -131,7 +147,18 @@ def _layer_cases():
 
 
 def _layers():
-    return {name: _median_call_s(fn) for name, fn in _layer_cases().items()}
+    """name -> {"raw_s", "gauge_s", "gauged_s"} for each layer case."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import NOMINAL_GAUGE_S
+    from workload import gauge_s
+
+    out = {}
+    for name, fn in _layer_cases().items():
+        before = gauge_s(time.perf_counter)
+        raw = _median_call_s(fn)
+        gauge = (before + gauge_s(time.perf_counter)) / 2
+        out[name] = {"raw_s": raw, "gauge_s": gauge, "gauged_s": raw * NOMINAL_GAUGE_S / gauge}
+    return out
 
 
 def _run(cmd, root, **kw):
@@ -155,8 +182,9 @@ def _src_sha256(root):
 
 
 def _layer_rounds(roots: dict) -> dict:
-    """label -> layer name -> median seconds per call over LAYER_ROUNDS
-    interpreters per checkout, the checkouts taking turns."""
+    """label -> figure ("raw_s", "gauge_s", "gauged_s") -> layer name ->
+    median over LAYER_ROUNDS interpreters per checkout, the checkouts
+    taking turns."""
     rounds = {label: [] for label in roots}
     for _ in range(LAYER_ROUNDS):
         for label, root in roots.items():
@@ -166,7 +194,10 @@ def _layer_rounds(roots: dict) -> dict:
                 raise RuntimeError(f"layer timings failed:\n{proc.stderr[-2000:]}")
             rounds[label].append(json.loads(_last_line(proc.stdout)))
     return {
-        label: {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+        label: {
+            figure: {name: statistics.median(r[name][figure] for r in runs) for name in runs[0]}
+            for figure in ("raw_s", "gauge_s", "gauged_s")
+        }
         for label, runs in rounds.items()
     }
 
@@ -219,7 +250,9 @@ def main(argv=None) -> int:
     for label, root in roots.items():
         record[label] = {
             "src_sha256": _src_sha256(root),
-            "layers_median_s": layers[label],
+            "layers_median_s": layers[label]["raw_s"],
+            "layers_gauged_median_s": layers[label]["gauged_s"],
+            "layers_gauge_median_s": layers[label]["gauge_s"],
             **_end_to_end(root),
         }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
