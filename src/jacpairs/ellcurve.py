@@ -87,6 +87,13 @@ def galois_cubic_split_check(f: Poly):
     d = discriminant(f)
     if F.is_zero(d):
         raise ValueError("inseparable cubic")
+    return _split_record(f, d)
+
+
+def _split_record(f: Poly, d):
+    """``galois_cubic_split_check`` of a monic cubic f over F_p with nonzero
+    discriminant d."""
+    F = f.ring
     square = F.is_square(d)
     nroots = len(roots(f))
     consistent = (square and nroots in (0, 3)) or (not square and nroots == 1)
@@ -144,9 +151,10 @@ def exhaustive_split_scan(p: int) -> dict:
         for b in range(p):
             for c in range(p):
                 f = Poly(F, [F.from_int(c), F.from_int(b), F.from_int(a), F.one])
-                if F.is_zero(discriminant(f)):
+                d = discriminant(f)
+                if F.is_zero(d):
                     continue
-                rec = galois_cubic_split_check(f)
+                rec = _split_record(f, d)
                 total += 1
                 by_roots[rec["root_count"]] += 1
                 if not rec["consistent"]:

@@ -11,7 +11,8 @@ A prime field is the degree-1 finite field: it answers ``from_base``,
 splitting field need not ask which of the two it got.  The modulus of
 GF(p^m) is the first monic irreducible in a fixed order; irreducibility is
 decided by the same distinct-degree factorization the ``roots`` module
-uses.
+uses.  ``GFext(p, 2)`` is a ``QuadraticExtField``: the same field, with its
+element arithmetic in closed form.
 
 ``ResidueRing`` is not a coefficient ring of this kind: it is the kernel
 for K[x]/(f) on flat int lists that every power of the ``roots`` module is
@@ -215,21 +216,25 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _poly_mulmod(a, b, modulus, p):
-    """Product of coefficient tuples reduced mod (modulus, p); modulus monic."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
+def _poly_mulmod(a, b, tail, p):
+    """Product of coefficient tuples of length m reduced mod (modulus, p), for
+    a monic modulus x^m + sum c_j x^j given by ``tail``: its pairs (j, c_j)
+    with c_j != 0.  Entries grow as plain ints and each is taken mod p once."""
+    m = len(a)
+    prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
+            k = i
+            for bj in b:
+                prod[k] += ai * bj
+                k += 1
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % p
         if c:
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    return tuple(prod[:m]) if len(prod) >= m else tuple(prod) + (0,) * (m - len(prod))
+            base = i - m
+            for j, cj in tail:
+                prod[base + j] -= c * cj
+    return tuple([c % p for c in prod[:m]])
 
 
 class ResidueRing:
@@ -493,7 +498,7 @@ class ExtField:
         self.degree = m
         self.char = p
         self.order = p**m
-        self.modulus = _default_modulus(p, m)
+        self._use_modulus(_default_modulus(p, m))
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
         self.gen = (0, 1) + (0,) * (m - 2) if m > 1 else (1,)
@@ -505,6 +510,12 @@ class ExtField:
             while len(rows) < m:
                 rows.append(self.mul(rows[-1], yp))
         self._frobenius_rows = tuple(rows)
+
+    def _use_modulus(self, modulus):
+        """Keep the modulus, and the pairs (j, c_j) of its nonzero lower
+        coefficients that a product folds with."""
+        self.modulus = modulus
+        self._tail = tuple((j, c) for j, c in enumerate(modulus[:-1]) if c)
 
     def from_int(self, k):
         return (k % self.p,) + (0,) * (self.m - 1)
@@ -531,7 +542,7 @@ class ExtField:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        return _poly_mulmod(a, b, self.modulus, self.p)
+        return _poly_mulmod(a, b, self._tail, self.p)
 
     def pow(self, a, n):
         if n < 0:
@@ -591,6 +602,60 @@ class ExtField:
         return self.name
 
 
+class QuadraticExtField(ExtField):
+    """F_{p^2} = F_p(y) with y^2 = d, and its arithmetic in closed form.
+
+    For odd p some binomial x^2 + c is irreducible over F_p (every prime
+    factor of 2 divides p - 1: Lidl-Niederreiter, Finite Fields, Thm 3.75), so
+    ``_default_modulus(p, 2)``, which tries the binomials first, is always
+    y^2 + c_0, and d = -c_0 is a non-residue.  With a = a_0 + a_1 y:
+
+        a * b  = (a_0 b_0 + d a_1 b_1) + (a_0 b_1 + a_1 b_0) y,
+        a^-1   = (a_0 - a_1 y) / (a_0^2 - d a_1^2),
+
+    the norm a_0^2 - d a_1^2 being zero only at a = 0.  The modulus, the
+    element tuples and every method not written here are ``ExtField``'s, and
+    these reduce by the same modulus, so each value equals the generic one;
+    only the cost per operation differs.  The constructor checks the binomial
+    form instead of assuming it.
+    """
+
+    def _use_modulus(self, modulus):
+        if len(modulus) != 3 or modulus[1]:
+            raise ValueError(f"GF({self.p}^2) needs a modulus y^2 + c_0, not {modulus}")
+        super()._use_modulus(modulus)
+        self._d = -modulus[0] % self.p
+
+    def add(self, a, b):
+        p = self.p
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def sub(self, a, b):
+        p = self.p
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+
+    def neg(self, a):
+        p = self.p
+        return (-a[0] % p, -a[1] % p)
+
+    def mul(self, a, b):
+        a0, a1 = a
+        b0, b1 = b
+        p = self.p
+        return ((a0 * b0 + self._d * a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
+
+    def inv(self, a):
+        """a^-1 as the conjugate over the norm."""
+        a0, a1 = a
+        p = self.p
+        norm = (a0 * a0 - self._d * a1 * a1) % p
+        if not norm:
+            raise ZeroDivisionError(f"inverse of 0 in {self.name}")
+        n = pow(norm, -1, p)
+        return (a0 * n % p, -a1 * n % p)
+
+
 @lru_cache(maxsize=None)
 def GFext(p: int, m: int) -> ExtField:
-    return ExtField(p, m)
+    """F_{p^m}; at m = 2 the closed-form ``QuadraticExtField``."""
+    return (QuadraticExtField if m == 2 else ExtField)(p, m)

@@ -65,7 +65,7 @@ def _not_split(f: Poly, why: str):
     return ArithmeticError(f"{f!r} did not split: {why}")
 
 
-def distinct_degree_factorization(f: Poly):
+def distinct_degree_factorization(f: Poly, xp=None):
     """Split a squarefree monic polynomial into products of equal-degree
     irreducibles.
 
@@ -73,11 +73,12 @@ def distinct_degree_factorization(f: Poly):
     nontrivial) product of all irreducible factors of degree ``d``, ordered
     by ``d``, and ``xq`` is x^q mod g for q the order of the field.  Each
     level's x^(q^d) is the q-th power map applied to the one before, modulo
-    the input f.
+    the input f.  ``xp``: x^p mod f as coefficients over the field, if the
+    caller has it.
     """
     K = f.ring
     f = f.monic()
-    R = ResidueRing(K, f.coeffs)
+    R = ResidueRing(K, f.coeffs, xp)
     out = []
     x = Poly.gen(K)
     frob = None  # x^(q^d) mod the input f, a residue of R
@@ -310,10 +311,11 @@ def roots(f: Poly, K=None):
     g = gcd_field(_poly(R, R.frobenius(R.xp, K.degree - 1)) - Poly.gen(F), f)
     if g.degree == 0:
         return []
+    xp = poly_divmod(_poly(R, R.xp), g)[1]
     if K.degree > 1:
-        parts = distinct_degree_factorization(g)
+        parts = distinct_degree_factorization(g, xp.coeffs)
     else:
-        parts = [(1, g, poly_divmod(_poly(R, R.xp), g)[1])]
+        parts = [(1, g, xp)]
     return _roots_of_parts(K, parts)
 
 

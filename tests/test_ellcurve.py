@@ -42,8 +42,8 @@ class TestSplitCriterion:
     def test_exhaustive(self, p):
         rep = exhaustive_split_scan(p)
         assert rep["pass"]
-        # counts: (p^3 - p^2) separable cubics split 2:1 between square and
-        # non-square disc is not asserted; only the criterion itself
+        # p^3 - p^2 of the monic cubics over F_p are squarefree
+        assert rep["separable_cubics"] == p**3 - p**2
 
     def test_single_case(self):
         F = GF(13)
@@ -55,6 +55,11 @@ class TestSplitCriterion:
             "root_count": 3,
             "consistent": True,
         }
+
+    def test_inseparable_cubic_rejected(self):
+        x = Poly.gen(GF(13))
+        with pytest.raises(ValueError, match="inseparable cubic"):
+            galois_cubic_split_check(x**3 - x**2)
 
 
 class TestPointSearch:

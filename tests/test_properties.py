@@ -3,7 +3,8 @@ against Fermat's inverse; roots against a brute-force search; factorizations
 against the product of the factors; the squarefree decomposition over Q,
 GF(3) and GF(5) against the multiplicities a polynomial was built with; the
 integer resultant against the Sylvester determinant; the gcd over Q against
-Euclid on ``Fraction`` coefficients; the ring axioms of GF(p^m); canonical
+Euclid on ``Fraction`` coefficients; the ring axioms of GF(p^m) and its
+product against ``Poly`` arithmetic modulo the modulus; canonical
 results of polynomial arithmetic; long division by a non-unit leading
 coefficient over Z and Z[t] against the quotient and remainder it was built
 from; the closed-form discriminants of cubics and even polynomials against
@@ -11,12 +12,14 @@ the Sylvester determinant; and the discriminant over GF(p) against the one
 over Z reduced mod p; products, powers and the linear Frobenius of the
 residue ring K[x]/(f) against ``Poly`` arithmetic and a square-and-multiply
 power; the Cantor-Zassenhaus norm power against that power, the linear
-Frobenius of GF(p^m) against the p-th power, and the roots ``_one_root``
-finds against evaluation.  ``derandomize=True`` draws
+Frobenius of GF(p^m) against the p-th power, the roots ``_one_root``
+finds against evaluation, and the closed-form GF(p^2) arithmetic against the
+generic GF(p^m) code.  ``derandomize=True`` draws
 the same inputs on every run."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +33,21 @@ from jacpairs.exact.poly import (
     resultant_sylvester,
     squarefree_decomposition,
 )
-from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext, ResidueRing, ring_pow
+from jacpairs.exact import rings
+from jacpairs.exact.integers import is_prime
+from jacpairs.exact.rings import (
+    GF,
+    QQ,
+    ZZ,
+    ExtField,
+    GFext,
+    QuadraticExtField,
+    ResidueRing,
+    _default_modulus,
+    _poly_invmod,
+    _poly_mulmod,
+    ring_pow,
+)
 from jacpairs.exact.roots import (
     _norm_power,
     _one_root,
@@ -261,10 +278,62 @@ def element_triples(draw):
 @given(element_triples())
 def test_extension_field_ring_axioms(case):
     K, a, b, c = case
+    F = GF(K.p)
+    product = poly_divmod(Poly(F, a) * Poly(F, b), Poly(F, K.modulus))[1]
+    assert K.mul(a, b) == tuple(product.coeffs) + (0,) * (K.m - len(product.coeffs))
     assert K.mul(a, b) == K.mul(b, a)
     assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
     assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
     assert K.frobenius(K.mul(a, b)) == K.mul(K.frobenius(a), K.frobenius(b))
+
+
+def _assert_quadratic_is_generic(K, a, b):
+    """GF(p^2)'s closed forms against the generic code: ``_poly_mulmod``
+    folding by the modulus, ``_poly_invmod`` and the tuple formulas."""
+    p = K.p
+    tail = [(j, c) for j, c in enumerate(K.modulus[:-1]) if c]
+    assert K.mul(a, b) == _poly_mulmod(a, b, tail, p)
+    assert K.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+    assert K.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+    assert K.neg(a) == tuple(-x % p for x in a)
+    if a == K.zero:
+        with pytest.raises(ZeroDivisionError):
+            K.inv(a)
+    else:
+        assert K.inv(a) == _poly_invmod(a, K.modulus, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quadratic_field_is_the_generic_code_on_every_pair(p):
+    K = GFext(p, 2)
+    assert type(K) is QuadraticExtField
+    for a, b in itertools.product(K.elements(), repeat=2):
+        _assert_quadratic_is_generic(K, a, b)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 7918), min_size=4, max_size=4))
+@example([0, 0, 5, 7])
+@example([7918, 7918, 7918, 7918])
+def test_quadratic_field_is_the_generic_code(coords):
+    K = GFext(7919, 2)
+    _assert_quadratic_is_generic(K, tuple(coords[:2]), tuple(coords[2:]))
+
+
+def test_quadratic_modulus_is_a_binomial():
+    # Lidl-Niederreiter Thm 3.75: x^2 + c is irreducible for some c at every
+    # odd p, so the search, which tries binomials first, returns one
+    for p in range(3, 500, 2):
+        if is_prime(p):
+            assert _default_modulus(p, 2)[1] == 0, p
+
+
+def test_quadratic_field_refuses_a_modulus_with_a_linear_term(monkeypatch):
+    # x^2 + x + 2 is irreducible over F_3
+    monkeypatch.setattr(rings, "_default_modulus", lambda p, m: (2, 1, 1))
+    with pytest.raises(ValueError, match="needs a modulus"):
+        QuadraticExtField(3, 2)
+    assert ExtField(3, 2).modulus == (2, 1, 1)
 
 
 # small characteristics make cancellations of leading terms frequent

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer and end-to-end timings of one jacpairs checkout, as one JSON record.
 
-    python3 tools/bench.py --out BENCH_17.json --baseline ../parent-checkout
+    python3 tools/bench.py --out BENCH_18.json --baseline ../parent-checkout
     python3 tools/bench.py --out now.json
 
 Layers: the arithmetic the checks run on, each called on fixed inputs in a
@@ -84,7 +84,7 @@ def _layer_cases():
     rng = random.Random(20261019)
     p = 7919
     F = GF(p)
-    K3, K6 = GFext(p, 3), GFext(p, 6)
+    K2, K3, K6 = GFext(p, 2), GFext(p, 3), GFext(p, 6)
     a, b = (tuple(rng.randrange(1, p) for _ in range(3)) for _ in range(2))
     quad = Poly.from_ints(F, [1, 0, 1])  # -1 is a non-residue mod 7919
     cubic = Poly.from_ints(F, [3, 1, 0, 1])  # irreducible over F_7919
@@ -105,6 +105,8 @@ def _layer_cases():
     res_a, res_b = int_poly(12, 20), int_poly(10, 20)
     even = Poly.from_ints(F, [7, 0, 5, 0, 3, 0, 1])
     dense = Poly.from_ints(F, [3, 1, 4, 1, 5, 9, 2])
+    a2, b2 = (tuple(rng.randrange(1, p) for _ in range(2)) for _ in range(2))
+    dense_2 = Poly(K2, [tuple(rng.randrange(1, p) for _ in range(2)) for _ in range(7)])
 
     # glue_p10 on the first pairing that glues, for howe2 at p = 1009, t = 5
     spec = family_spec("howe2")
@@ -125,6 +127,8 @@ def _layer_cases():
     deg3 = family_spec("deg3")
 
     return {
+        "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
+        "ExtField.inv[7919^2]": lambda: K2.inv(a2),
         "ExtField.mul[7919^3]": lambda: K3.mul(a, b),
         "ExtField.inv[7919^3]": lambda: K3.inv(a),
         "ExtField.frobenius[7919^3]": lambda: K3.frobenius(a),
@@ -139,6 +143,7 @@ def _layer_cases():
         "poly.resultant[Z, degrees 12 and 10, 20 digits]": lambda: resultant(res_a, res_b),
         "igusa_vector[even sextic over F_7919]": lambda: igusa_vector(even),
         "igusa_vector[dense sextic over F_7919]": lambda: igusa_vector(dense),
+        "igusa_vector[dense sextic over GF(7919^2)]": lambda: igusa_vector(dense_2),
         "glue_p10[howe2@1009:t=5]": lambda: glue_p10(glue_input),
         "verify_reconstruction[deg3@522719:t=454676]": lambda: verify_reconstruction(
             deg3, 522719, 454676
