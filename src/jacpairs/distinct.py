@@ -219,7 +219,7 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
         for fac in exc.locus_factors:
             red = fac.map_coeffs(F, partial(scalar_in, F))
             for r in roots(red, K):
-                locus_roots.add(_key(K, r))
+                locus_roots.add(K.to_str(r))
 
     equal_geometric = []
     equal_base = []
@@ -227,21 +227,21 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     for t in K.elements():
         if K.is_zero(t):
             continue
-        kt = _key(K, t)
+        kt = K.to_str(t)
         if kt in seen:
             continue
         seen.add(kt)
-        seen.add(_key(K, K.neg(t)))
+        seen.add(K.to_str(K.neg(t)))
         pair = curve_pair(spec, K, t)
         if pair is None:
             continue
         u, v = (igusa_vector(c) for c in pair)
         if weighted_equal(u, v, K, geometric=True):
             equal_geometric.append(kt)
-            equal_geometric.append(_key(K, K.neg(t)))
+            equal_geometric.append(K.to_str(K.neg(t)))
             if weighted_equal(u, v, K):
                 equal_base.append(kt)
-                equal_base.append(_key(K, K.neg(t)))
+                equal_base.append(K.to_str(K.neg(t)))
 
     geom = set(equal_geometric)
     return {
@@ -254,10 +254,6 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
         "locus_roots": sorted(locus_roots),
         "match": geom == locus_roots,
     }
-
-
-def _key(K, a):
-    return K.to_str(a)
 
 
 __all__ = ["prime_support", "charp_analysis", "full_scan"]

@@ -270,6 +270,9 @@ def poly_divmod(a: Poly, b: Poly):
     No coefficient is divided when lc(b) = 1; over a field lc(b) is
     inverted once; over any other ring each quotient coefficient is the
     exact division by lc(b), which raises ArithmeticError if it is not.
+    A remainder of degree >= deg b, which only a ring whose arithmetic is
+    broken leaves (the quotient coefficient times lc(b) failed to cancel a
+    leading term), raises ArithmeticError too, so that no caller loops on it.
     """
     R = a.ring
     if b.is_zero():
@@ -295,7 +298,10 @@ def poly_divmod(a: Poly, b: Poly):
         q[i] = factor
         for j, bj in enumerate(bc):
             rem[i + j] = R.sub(rem[i + j], R.mul(factor, bj))
-    return Poly(R, q), Poly(R, rem)
+    r = Poly(R, rem)
+    if r.degree >= b.degree:
+        raise ArithmeticError(f"a leading term did not cancel in {R!r}: its arithmetic is broken")
+    return Poly(R, q), r
 
 
 def pseudo_rem(a: Poly, b: Poly):

@@ -6,17 +6,21 @@ extension fields).  Elements are always kept in canonical form, so
 ``==`` on values is equality in the ring.  All rings are immutable and
 all operations are pure.
 
-A prime field is the degree-1 finite field: it answers ``from_base``,
-``in_base`` and ``frobenius`` like ``ExtField`` does, so code working in a
-splitting field need not ask which of the two it got.  The modulus of
-GF(p^m) is the first monic irreducible in a fixed order; irreducibility is
-decided by the same distinct-degree factorization the ``roots`` module
-uses.  ``GFext(p, 2)`` is a ``QuadraticExtField``: the same field, with its
-element arithmetic in closed form.
+A prime field is the only degree-1 finite field: its elements are ints,
+and ``ExtField`` builds GF(p^m) for m = 2 to 6 only, with coefficient
+tuples, so ``K.degree`` alone decides an element's shape.  A prime field
+answers ``from_base``, ``in_base`` and ``frobenius`` like ``ExtField``
+does, so code working in a splitting field need not ask which of the two it
+got.  The modulus of GF(p^m) is the first monic irreducible in a fixed
+order; irreducibility is decided by the same distinct-degree factorization
+the ``roots`` module uses.  ``GFext(p, 2)`` is a ``QuadraticExtField``: the
+same field, with its element arithmetic in closed form.
 
 ``ResidueRing`` is not a coefficient ring of this kind: it is the kernel
 for K[x]/(f) on flat int lists that every power of the ``roots`` module is
-taken in.
+taken in.  ``ring_pow`` is the one square-and-multiply: GF(p^m),
+``ResidueRing`` and polynomial rings take their powers by it, F_p and Q by
+Python's own ``pow``.
 """
 
 from __future__ import annotations
@@ -261,14 +265,12 @@ class ResidueRing:
         """``f``: the coefficients of a monic f over K of degree >= 1, low to
         high; ``xp``: x^p mod f as K coefficients, if the caller has it."""
         self.K = K
-        self._tuples = isinstance(K.one, tuple)  # ExtField elements, even at m = 1
         self.p = K.char
         self.m = m = K.degree
         self.n = n = len(f) - 1
         self._W = W = 2 * m - 1  # stride of the y-coordinates in a product
         self._pos = [j * W + k for j in range(n) for k in range(m)]
-        # y^m = -sum_l M_l y^l and x^n = -sum_j f_j x^j, nonzero terms only
-        self._M = [(l, c) for l, c in enumerate(K.modulus[:m]) if c] if m > 1 else []
+        # x^n = -sum_j f_j x^j, nonzero terms only; y^m folds by K._tail
         self._f = [
             (j * W + l, c)
             for j, fj in enumerate(f[:n])
@@ -281,7 +283,7 @@ class ResidueRing:
         self._columns = None
 
     def _coords(self, c):
-        return c if self._tuples else (c,)
+        return c if self.m > 1 else (c,)
 
     def from_coeffs(self, coeffs):
         """The residue of sum c_j x^j, for any number of K coefficients."""
@@ -293,9 +295,9 @@ class ResidueRing:
 
     def coeffs(self, a):
         """The K coefficients a_0, ..., a_{n-1} of a residue."""
-        if not self._tuples:
-            return list(a)
         m = self.m
+        if m == 1:
+            return list(a)
         return [tuple(a[i : i + m]) for i in range(0, len(a), m)]
 
     def _reduce(self, wide):
@@ -323,11 +325,11 @@ class ResidueRing:
     def _reduce_y(self, wide, base):
         """Reduce the y-coordinates of the slot at ``base`` mod M, without
         taking them mod p."""
-        m = self.m
+        m, tail = self.m, self.K._tail
         for k in range(base + self._W - 1, base + m - 1, -1):
             c = wide[k]
             if c:
-                for l, v in self._M:
+                for l, v in tail:
                     wide[k - m + l] -= c * v
 
     def mul(self, a, b):
@@ -341,23 +343,11 @@ class ResidueRing:
                     wide[base + off] += ai * bj
         return self._reduce(wide)
 
-    def pow(self, a, e):
-        """a^e for e >= 0, left to right, so each multiply by a is as sparse
-        as a (one term for a = x)."""
-        if e == 0:
-            return self.one
-        out = a
-        for bit in bin(e)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
-
     @property
     def xp(self):
         """x^p mod f."""
         if self._xp is None:
-            self._xp = self.pow(self.x, self.p)
+            self._xp = ring_pow(self, self.x, self.p)
         return self._xp
 
     def frobenius(self, a, times=1):
@@ -419,15 +409,16 @@ def _poly_invmod(a, modulus, p):
 
 
 def ring_pow(R, a, n):
-    """a^n in the ring R for n >= 0, by square-and-multiply."""
-    out = R.one
-    base = a
-    while n:
-        if n & 1:
-            out = R.mul(out, base)
-        n >>= 1
-        if n:
-            base = R.mul(base, base)
+    """a^n in the ring R for n >= 0, by square-and-multiply from the top bit
+    down, so that each multiply by a is as sparse as a (one term for a = x
+    in a ``ResidueRing``)."""
+    if n == 0:
+        return R.one
+    out = a
+    for bit in bin(n)[3:]:
+        out = R.mul(out, out)
+        if bit == "1":
+            out = R.mul(out, a)
     return out
 
 
@@ -469,8 +460,6 @@ def _default_modulus(p: int, m: int) -> tuple:
     can be irreducible (`_has_irreducible_binomial`), the walk starts at
     x^m + x instead: the result is the same, without ~p irreducibility
     tests."""
-    if m == 1:
-        return (0, 1)
     start = 0 if _has_irreducible_binomial(p, m) else p
     for n in range(start, p**m):
         cand = _digits(n, p, m) + (1,)
@@ -480,7 +469,8 @@ def _default_modulus(p: int, m: int) -> tuple:
 
 
 class ExtField:
-    """F_{p^m}: residues of F_p[x] mod a fixed monic irreducible of degree m.
+    """F_{p^m} for m = 2 to 6: residues of F_p[x] mod a fixed monic
+    irreducible of degree m.  The degree-1 field is ``GF(p)``.
 
     Elements are coefficient tuples of length m (low to high degree).
     The modulus is chosen deterministically per (p, m), so representations
@@ -490,6 +480,8 @@ class ExtField:
     is_field = True
 
     def __init__(self, p: int, m: int):
+        if m == 1:
+            raise ValueError(f"the degree-1 field is GF({p}), not an ExtField")
         if m < 1 or m > 6:
             raise ValueError("extension degrees above 6 are out of scope")
         self.base = GF(p)
@@ -501,14 +493,13 @@ class ExtField:
         self._use_modulus(_default_modulus(p, m))
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        self.gen = (0, 1) + (0,) * (m - 2) if m > 1 else (1,)
+        self.gen = (0, 1) + (0,) * (m - 2)
         self.name = f"GF({p}^{m})"
         # rows (y^p)^i of the Frobenius as an F_p-linear map, y = self.gen
         rows = [self.one]
-        if m > 1:
-            yp = self.pow(self.gen, p)
-            while len(rows) < m:
-                rows.append(self.mul(rows[-1], yp))
+        yp = self.pow(self.gen, p)
+        while len(rows) < m:
+            rows.append(self.mul(rows[-1], yp))
         self._frobenius_rows = tuple(rows)
 
     def _use_modulus(self, modulus):
@@ -520,8 +511,7 @@ class ExtField:
     def from_int(self, k):
         return (k % self.p,) + (0,) * (self.m - 1)
 
-    def from_base(self, a):
-        return (a % self.p,) + (0,) * (self.m - 1)
+    from_base = from_int
 
     def in_base(self, a):
         """The F_p value of a, or None if a is not in the prime subfield."""

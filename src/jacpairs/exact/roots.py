@@ -14,8 +14,10 @@ under x -> x^p.  ``roots`` takes the parts from gcd(x^(p^m) - x, f);
 factorization that also gives it m.
 
 Every power is taken in one kernel, ``rings.ResidueRing``: residues modulo
-a monic f over K = F_p or GF(p^m), as flat lists of plain ints.  Besides
-multiply and power it has the p-th power map
+a monic f over K = F_p or GF(p^m), as flat lists of plain ints (one per
+element of F_p, m per element of GF(p^m)), powered by the one
+square-and-multiply, ``rings.ring_pow``.  Besides multiply it has the p-th
+power map
 
     Phi(sum a_j x^j) = sum sigma(a_j) (x^p mod f)^j,    sigma: c -> c^p on K,
 
@@ -53,7 +55,7 @@ from .poly import (
     poly_divmod,
     squarefree_decomposition,
 )
-from .rings import GF, GFext, PrimeField, ResidueRing
+from .rings import GF, GFext, PrimeField, ResidueRing, ring_pow
 
 
 def _poly(R, a):
@@ -65,7 +67,7 @@ def _not_split(f: Poly, why: str):
     return ArithmeticError(f"{f!r} did not split: {why}")
 
 
-def distinct_degree_factorization(f: Poly, xp=None):
+def distinct_degree_factorization(f: Poly):
     """Split a squarefree monic polynomial into products of equal-degree
     irreducibles.
 
@@ -73,12 +75,11 @@ def distinct_degree_factorization(f: Poly, xp=None):
     nontrivial) product of all irreducible factors of degree ``d``, ordered
     by ``d``, and ``xq`` is x^q mod g for q the order of the field.  Each
     level's x^(q^d) is the q-th power map applied to the one before, modulo
-    the input f.  ``xp``: x^p mod f as coefficients over the field, if the
-    caller has it.
+    the input f.
     """
     K = f.ring
     f = f.monic()
-    R = ResidueRing(K, f.coeffs, xp)
+    R = ResidueRing(K, f.coeffs)
     out = []
     x = Poly.gen(K)
     frob = None  # x^(q^d) mod the input f, a residue of R
@@ -111,7 +112,7 @@ def _norm_power(R, h, k, s):
     for _ in range(k - 1):
         conj = R.frobenius(conj, s)
         norm = R.mul(norm, conj)
-    return R.pow(norm, (R.p**s - 1) // 2)
+    return ring_pow(R, norm, (R.p**s - 1) // 2)
 
 
 def _splitmix64(state: int):
@@ -138,19 +139,15 @@ def _splitting_elements(f: Poly):
     ``_MAX_DRAWS`` candidates it raises ``ArithmeticError``, since ``f`` then
     does not split the way its caller assumed."""
     K = f.ring
-    is_prime_field = isinstance(K, PrimeField)
     state = 0x5EED0F1E1DD15C0D
 
     def draw():
         nonlocal state
-        if is_prime_field:
-            state, z = _splitmix64(state)
-            return K.from_int(z)
         coords = []
-        for _ in range(K.m):
+        for _ in range(K.degree):
             state, z = _splitmix64(state)
             coords.append(z % K.p)
-        return tuple(coords)
+        return coords[0] if K.degree == 1 else tuple(coords)
 
     deg = 1
     n = 0
@@ -166,14 +163,14 @@ def _splitting_elements(f: Poly):
     )
 
 
-def equal_degree_factorization(f: Poly, d: int, xq: Poly | None):
+def equal_degree_factorization(f: Poly, d: int, xq: Poly):
     """Factor a squarefree monic product of degree-``d`` irreducibles.
 
     Deterministic Cantor–Zassenhaus for odd field order q: candidate
     splitting polynomials are drawn from a fixed enumeration, and each
     h^((q^d - 1)/2) is taken once per draw as a norm power modulo f, then
     reduced modulo each factor still to be split.  ``xq`` is x^q mod f, as
-    the distinct-degree factorization gives it, or None.  Before drawing,
+    the distinct-degree factorization gives it.  Before drawing,
     the q-th power map must fix x after d steps, or f is not such a product.
     """
     K = f.ring
@@ -183,8 +180,8 @@ def equal_degree_factorization(f: Poly, d: int, xq: Poly | None):
     if f.degree == d:
         return [f]
     m = K.degree
-    R = ResidueRing(K, f.coeffs, xq.coeffs if xq is not None and m == 1 else None)
-    X = R.frobenius(R.xp, m - 1) if xq is None else R.from_coeffs(xq.coeffs)
+    R = ResidueRing(K, f.coeffs, xq.coeffs if m == 1 else None)
+    X = R.from_coeffs(xq.coeffs)
     if R.frobenius(X, m * (d - 1)) != R.x:
         raise _not_split(f, f"x^(q^{d}) - x is not a multiple of it")
     work = [f]
@@ -244,25 +241,25 @@ def splitting_degrees(f: Poly):
     return sorted(d for d, part, _, _ in _degree_parts(f) for _ in range(part.degree // d))
 
 
-def _one_root(g: Poly, xp: Poly | None):
+def _one_root(g: Poly, xp: Poly):
     """One root of a squarefree monic g over K = GF(p^m) (or F_p) whose
     coefficients lie in F_p and whose irreducible factors over F_p have
     degrees dividing m: Cantor-Zassenhaus splits, keeping the smaller part
     each time, until a linear factor is left.  Each h^((p^m - 1)/2) is the
     norm power of the module docstring, taken modulo the input g and reduced
-    modulo the current factor.  ``xp`` is x^p mod g over F_p, or None.
+    modulo the current factor.  ``xp`` is x^p mod g over F_p.
     Before drawing, the p-th power map must fix x and y after m steps and
     agree with the power on y."""
     K = g.ring
     if any(K.in_base(c) is None for c in g.coeffs):
         raise TypeError(f"{g!r} has a coefficient outside {GF(K.char)!r}")
     m = K.degree
-    R = ResidueRing(K, g.coeffs, None if xp is None else [K.from_base(c) for c in xp.coeffs])
+    R = ResidueRing(K, g.coeffs, [K.from_base(c) for c in xp.coeffs])
     if R.frobenius(R.x, m) != R.x:
         raise _not_split(g, f"x^(p^{m}) - x is not a multiple of it")
     if m > 1:
         y = R.from_coeffs([K.gen])
-        if R.frobenius(y, m) != y or R.frobenius(y) != R.pow(y, R.p):
+        if R.frobenius(y, m) != y or R.frobenius(y) != ring_pow(R, y, R.p):
             raise _not_split(g, f"the p-th power map is not y -> y^p on {K!r}")
     draws = _splitting_elements(g)
     while g.degree > 1:
@@ -311,11 +308,10 @@ def roots(f: Poly, K=None):
     g = gcd_field(_poly(R, R.frobenius(R.xp, K.degree - 1)) - Poly.gen(F), f)
     if g.degree == 0:
         return []
-    xp = poly_divmod(_poly(R, R.xp), g)[1]
     if K.degree > 1:
-        parts = distinct_degree_factorization(g, xp.coeffs)
+        parts = distinct_degree_factorization(g)
     else:
-        parts = [(1, g, xp)]
+        parts = [(1, g, poly_divmod(_poly(R, R.xp), g)[1])]
     return _roots_of_parts(K, parts)
 
 

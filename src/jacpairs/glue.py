@@ -209,7 +209,7 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
         entry = {"pairing": perm}
         try:
             res = glue_p10(
-                GlueInput(cf, cg, tuple(rts_f), tuple(b_of(perm, rts_g)))
+                GlueInput(cf, cg, tuple(rts_f), tuple(rts_g[i] for i in perm))
             )
             # descent: equivariant pairing must give h over the base field
             h_base = _descend_poly(K, F, res.h)
@@ -240,10 +240,6 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
         "match": matched[0] and matched[1],
         "diagnostics": diagnostics,
     }
-
-
-def b_of(perm, rts_g):
-    return [rts_g[perm[i]] for i in range(3)]
 
 
 __all__ = [

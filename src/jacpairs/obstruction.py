@@ -25,12 +25,16 @@ _ONE = Poly.one(ZZ)
 @dataclass(frozen=True)
 class ObstructionRecord:
     n: int
-    parity: str  # "odd" | "even"
     curve: Poly  # y^2 = curve(x), over Z
     delta: tuple  # (numerator, denominator) of the recorded discriminant
     delta_prime: tuple | None  # same for the isogenous model (even n only)
     points: tuple  # recorded rational points (x, y) as Fractions
     finite_by: str  # "listed-complete" | "faltings"
+
+    @property
+    def parity(self) -> str:
+        """The degree's parity, "odd" or "even"."""
+        return "odd" if self.n % 2 else "even"
 
 
 def _pts(*xs):
@@ -41,19 +45,19 @@ def _records():
     x = _X
     recs = [
         ObstructionRecord(
-            5, "odd", x**3 + 22 * x**2 + 125 * x,
+            5, x**3 + 22 * x**2 + 125 * x,
             (x**2 + 22 * x + 125, _ONE), None, _pts(0), "listed-complete",
         ),
         ObstructionRecord(
-            9, "odd", x**3 + 9 * x**2 + 27 * x,
+            9, x**3 + 9 * x**2 + 27 * x,
             (x * (x**2 + 9 * x + 27), _ONE), None, _pts(0), "listed-complete",
         ),
         ObstructionRecord(
-            13, "odd", x**3 + 6 * x**2 + 13 * x,
+            13, x**3 + 6 * x**2 + 13 * x,
             (x * (x**2 + 6 * x + 13), _ONE), None, _pts(0), "listed-complete",
         ),
         ObstructionRecord(
-            25, "odd",
+            25,
             x * (x**4 + 5 * x**3 + 15 * x**2 + 25 * x + 25) * (x**2 + 2 * x + 5),
             (
                 x
@@ -64,34 +68,34 @@ def _records():
             None, _pts(0), "faltings",
         ),
         ObstructionRecord(
-            6, "even", x**3 + 17 * x**2 + 72 * x,
+            6, x**3 + 17 * x**2 + 72 * x,
             (x * (x + 8), _ONE), (x + 9, _ONE),
             _pts(0, -8, -9), "listed-complete",
         ),
         ObstructionRecord(
-            8, "even", x**3 + 12 * x**2 + 32 * x,
+            8, x**3 + 12 * x**2 + 32 * x,
             (x * (x + 8), _ONE), (x + 4, _ONE),
             _pts(0, -4, -8), "listed-complete",
         ),
         ObstructionRecord(
-            10, "even", x**3 + 9 * x**2 + 20 * x,
+            10, x**3 + 9 * x**2 + 20 * x,
             (x * (x + 4), x**2 + 8 * x + 20), (x + 5, x**2 + 8 * x + 20),
             _pts(0, -4, -5), "listed-complete",
         ),
         ObstructionRecord(
-            12, "even", x**3 + 7 * x**2 + 12 * x,
+            12, x**3 + 7 * x**2 + 12 * x,
             (x * (x + 2) * (x + 4) * (x + 6), _ONE),
             ((x + 2) * (x + 3) * (x + 6), _ONE),
             _pts(0, -3, -4), "listed-complete",
         ),
         ObstructionRecord(
-            16, "even", x**3 + 6 * x**2 + 8 * x,
+            16, x**3 + 6 * x**2 + 8 * x,
             (x * (x + 4) * (x**2 + 4 * x + 8), _ONE),
             ((x + 2) * (x**2 + 4 * x + 8), _ONE),
             _pts(0, -2, -4), "listed-complete",
         ),
         ObstructionRecord(
-            18, "even",
+            18,
             x * (x + 2) * (x + 3) * (x**2 + 3 * x + 3) * (x**2 + 6 * x + 12),
             (x * (x + 2) * (x**2 + 6 * x + 12), _ONE),
             ((x + 3) * (x**2 + 3 * x + 3), _ONE),

@@ -18,7 +18,7 @@ from jacpairs.exact.poly import (
     squarefree_decomposition,
 )
 from jacpairs.exact import rings
-from jacpairs.exact.rings import GF, QQ, ZZ, GFext
+from jacpairs.exact.rings import GF, QQ, ZZ, ExtField, GFext, PrimeField, ResidueRing, ring_pow
 from jacpairs.exact.roots import (
     _one_root,
     equal_degree_factorization,
@@ -84,6 +84,35 @@ class TestRings:
                 if all(c == 0 for c in a):
                     continue
                 assert K.mul(a, K.inv(a)) == K.one
+
+    def test_degree_one_field_is_the_prime_field(self):
+        for build in (GFext, ExtField):
+            with pytest.raises(ValueError, match="degree-1 field is GF\\(7\\)"):
+                build(7, 1)
+
+    @pytest.mark.parametrize(
+        "R,a",
+        [
+            (ZZ, -3),
+            (GF(7919), 1234),
+            (GFext(7919, 3), (5, 0, 7918)),
+            (ResidueRing(GF(11), [3, 0, 1, 1]), [2, 5, 0]),
+            (PolyRing(ZZ), Poly.from_ints(ZZ, [1, -2, 1])),
+        ],
+        ids=["ZZ", "GF(7919)", "GF(7919^3)", "GF(11)[x]/(f)", "Z[x]"],
+    )
+    def test_ring_pow_is_repeated_multiplication(self, R, a):
+        power = R.one
+        for n in range(65):
+            assert ring_pow(R, a, n) == power, n
+            power = R.mul(power, a)
+
+    def test_ring_pow_of_large_ints_is_the_builtin_power(self):
+        rng = random.Random(19)
+        for bits in (64, 1000, 13000):
+            a = rng.getrandbits(bits) | 1 << (bits - 1)
+            for n in (0, 1, 2, 39, 40, 41):
+                assert ring_pow(ZZ, a, n) == a**n
 
     def test_frobenius_fixes_base(self):
         K = GFext(7, 3)
@@ -201,6 +230,17 @@ class TestPoly:
         Zt = PolyRing(ZZ)
         with pytest.raises(ArithmeticError):
             poly_divmod(Poly.gen(Zt) ** 2, Poly(Zt, [Zt.one, Poly.gen(ZZ)]))
+
+    def test_broken_field_arithmetic_raises(self):
+        # an inverse that is off by one leaves the leading term of every
+        # step of a division by a non-monic b uncancelled
+        class WrongInverse(PrimeField):
+            def inv(self, a):
+                return (super().inv(a) + 1) % self.p
+
+        F = WrongInverse(7)
+        with pytest.raises(ArithmeticError, match="did not cancel"):
+            poly_divmod(Poly.from_ints(F, [1, 2, 3, 4]), Poly.from_ints(F, [1, 2]))
 
     @pytest.mark.parametrize("R", [ZZ, GF(7), QQ, PolyRing(ZZ)])
     def test_division_by_zero_raises(self, R):
@@ -376,10 +416,11 @@ class TestRoots:
         # factors, so both splitters must give up instead of drawing forever
         F = GF(7)
         x = Poly.gen(F)
+        xp = poly_divmod(x**7, x**2 + 1)[1]
         with pytest.raises(ArithmeticError, match="did not split"):
-            _one_root(x**2 + 1, None)
+            _one_root(x**2 + 1, xp)
         with pytest.raises(ArithmeticError, match="did not split"):
-            equal_degree_factorization(x**2 + 1, 1, None)
+            equal_degree_factorization(x**2 + 1, 1, xp)
 
     def test_one_root_stops_on_a_cubic_that_stays_irreducible(self):
         # x^3 - 2 is irreducible over F_7 (2 is not a cube mod 7) and stays
@@ -392,10 +433,11 @@ class TestRoots:
             _one_root(cubic.map_coeffs(K, K.from_base), xp)
 
     def test_one_root_needs_coefficients_in_the_prime_field(self):
+        # the coefficients are checked before x^p is used
         K = GFext(7, 2)
         x = Poly.gen(K)
         with pytest.raises(TypeError, match="outside GF\\(7\\)"):
-            _one_root(x**2 + Poly.constant(K, K.gen), None)
+            _one_root(x**2 + Poly.constant(K, K.gen), Poly.gen(GF(7)))
 
 
 class TestSerialize:

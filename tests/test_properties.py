@@ -58,9 +58,9 @@ from jacpairs.exact.roots import (
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
-INV_FIELDS = [GFext(p, m) for p in (3, 11, 7919) for m in range(1, 7)]
-# every GF(p^m) with p^m <= 400 and m >= 2, and one degree-1 ExtField
-ROOT_FIELDS = [GFext(p, m) for p, m in [(5, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+INV_FIELDS = [GFext(p, m) for p in (3, 11, 7919) for m in range(2, 7)]
+# every GF(p^m) with p^m <= 400 and m >= 2
+ROOT_FIELDS = [GFext(p, m) for p, m in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
                                         (7, 2), (7, 3), (11, 2), (13, 2), (17, 2), (19, 2)]]
 
 
@@ -109,6 +109,8 @@ def base_polys(draw):
 @example((Poly(GF(3), [1, 0, 0, 0, 2, 0, 0, 0, 1]), GFext(3, 3)))
 # x^3 - x - 1 is irreducible over F_3: three conjugate roots in GF(3^3)
 @example((Poly(GF(3), [2, 2, 0, 1]), GFext(3, 3)))
+# (x - 1)^2 (x - 3)(x^2 + 2) over F_5, roots in F_5 itself
+@example((Poly(GF(5), [4, 4, 2, 4, 0, 1]), GF(5)))
 def test_roots_of_base_polynomials_match_brute_force(case):
     f, K = case
     assert roots(f, K) == _brute_force_roots(f, K)
@@ -531,7 +533,7 @@ def powmod(base, exp, modulus):
 
 @st.composite
 def residue_cases(draw):
-    """K = F_p or GF(p^m) with p in {3, 11, 7919} and m = 1 to 6, a monic f
+    """K = F_p or GF(p^m) with p in {3, 11, 7919} and m = 2 to 6, a monic f
     over K of degree 1 to 6 whose other coefficients lie in F_p or anywhere
     in K, and two polynomials over K of degree up to 2 deg f, so that taking
     them into K[x]/(f) reduces them."""
@@ -556,7 +558,7 @@ def test_residue_ring_is_polynomial_arithmetic_mod_f(case, e):
     A, B = R.from_coeffs(a.coeffs), R.from_coeffs(b.coeffs)
     assert Poly(K, R.coeffs(A)) == poly_divmod(a, f)[1]
     assert Poly(K, R.coeffs(R.mul(A, B))) == poly_divmod(a * b, f)[1]
-    assert Poly(K, R.coeffs(R.pow(A, e))) == powmod(a, e, f)
+    assert Poly(K, R.coeffs(ring_pow(R, A, e))) == powmod(a, e, f)
 
 
 @PROPERTY
@@ -571,7 +573,7 @@ def test_residue_frobenius_is_the_pth_power(case):
 
 @st.composite
 def norm_power_cases(draw):
-    """K = GF(p^k) with p in {3, 11, 7919} and k = 1 to 6, f over F_p a
+    """K = GF(p^k) with p in {3, 11, 7919} and k = 2 to 6, f over F_p a
     product of one to three monic factors of degree 1 to 3, and h over K of
     degree 1 to 3 with random coordinates, so that for k > 1 the coefficient
     Frobenius of the norm moves them."""
@@ -610,14 +612,15 @@ def test_linear_frobenius_is_the_pth_power(case):
 def split_products(draw):
     """K = GF(7919^m) for m in {2, 3, 6} and g over F_7919: one or two
     distinct monic irreducibles, each of a degree d dividing m, drawn as
-    M(ax + c) made monic, for M the modulus of GF(7919^d) and a != 0."""
+    M(ax + c) made monic, for M = x at d = 1 and the modulus of GF(7919^d)
+    above, and a != 0."""
     m = draw(st.sampled_from([2, 3, 6]))
     K = GFext(7919, m)
     F = GF(7919)
     factors = []
     for _ in range(draw(st.integers(1, 2))):
         d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
-        modulus = Poly(F, GFext(7919, d).modulus)
+        modulus = Poly.gen(F) if d == 1 else Poly(F, GFext(7919, d).modulus)
         shift = Poly(F, [draw(st.integers(0, 7918)), draw(st.integers(1, 7918))])
         g = modulus.evaluate(shift).monic()
         if g not in factors:
