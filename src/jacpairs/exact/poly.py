@@ -19,9 +19,11 @@ transcription honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd
 
-from .rings import QQ, ZZ, ring_pow
+from .integers import is_prime
+from .rings import GF, QQ, ZZ, ring_pow
 
 
 class Poly:
@@ -412,8 +414,19 @@ def _resultant_field_euclid(a: Poly, b: Poly):
 
 
 def _resultant_subresultant(a: Poly, b: Poly):
-    """Fraction-free subresultant PRS resultant over an integral domain."""
+    """Fraction-free subresultant PRS resultant over an integral domain
+    (Collins 1967; Brown-Traub 1971): each remainder is the pseudo-remainder
+    divided exactly by g h^delta.
+
+    Over Z that division is 2-adic (Jebelean 1993, ``_prem_quotient_int``):
+    neither the pseudo-remainder nor a division remainder is ever formed, so
+    instead of a remainder test the value is checked against the resultant
+    over GF(q) of the operands reduced mod a prime q near 2^61
+    (``_check_mod_q``), and a disagreement raises ArithmeticError.  Over
+    Z[t] each coefficient of the pseudo-remainder is divided by
+    ``divexact``, which raises on a nonzero remainder."""
     R = a.ring
+    operands = (a, b)
     sign = 1
     if a.degree < b.degree:
         if (a.degree % 2) and (b.degree % 2):
@@ -425,19 +438,145 @@ def _resultant_subresultant(a: Poly, b: Poly):
         delta = a.degree - b.degree
         if (a.degree % 2) and (b.degree % 2):
             sign = -sign
-        r = pseudo_rem(a, b)
-        if r.is_zero():
-            return R.zero
-        a = b
         denom = R.mul(g, ring_pow(R, h, delta))
-        b = Poly(R, [R.divexact(c, denom) for c in r.coeffs])
+        if R is ZZ:
+            r = _prem_quotient_int(a, b, denom)
+        else:
+            r = Poly(R, [R.divexact(c, denom) for c in pseudo_rem(a, b).coeffs])
+        a, b = b, r
         g = a.lc()
         if delta > 0:
             h = R.divexact(ring_pow(R, g, delta), ring_pow(R, h, delta - 1))
-    # b is a nonzero constant here
-    d = a.degree
-    res = R.divexact(ring_pow(R, b.lc(), d), ring_pow(R, h, d - 1))
-    return R.neg(res) if sign < 0 else res
+    if b.is_zero():
+        res = R.zero
+    else:
+        d = a.degree
+        res = R.divexact(ring_pow(R, b.lc(), d), ring_pow(R, h, d - 1))
+        if sign < 0:
+            res = R.neg(res)
+    if R is ZZ:
+        _check_mod_q(*operands, res)
+    return res
+
+
+def _prem_bits(lead_power, quotient, a_low, b_low):
+    """A bit length B with |N_i| < 2^B for every coefficient of
+    N = lead_power * a - sum_s quotient[s] x^s b below x^(deg b), from the
+    bit lengths of the operands alone: each N_i is a sum of at most
+    T = len(quotient) + 1 products below 2^X, so |N_i| < T 2^X, and
+    T <= 2^bits(T - 1)."""
+    bits = int.bit_length
+    top = max(bits(lead_power) + max(map(bits, a_low)), max(map(bits, quotient)) + max(map(bits, b_low)))
+    return top + len(quotient).bit_length()
+
+
+def _inverse_mod_2k(d, k):
+    """The inverse of an odd d modulo 2^k, in [0, 2^k), by the Newton lift
+    x <- x (2 - d x), which doubles the number of correct low bits; at
+    14 000 bits ``pow(d, -1, 2**k)`` takes tens of times as long."""
+    precisions = [k]
+    while precisions[-1] > 3:
+        precisions.append((precisions[-1] + 1) // 2)
+    x = d & 7  # an odd d is its own inverse modulo 8
+    for bits in reversed(precisions[:-1]):
+        mask = (1 << bits) - 1
+        x = x * (2 - (d & mask) * x) & mask
+    return x & ((1 << k) - 1)
+
+
+def _two_adic_content(coeffs):
+    """The largest e such that 2^e divides every coefficient (not all zero)."""
+    return min((c & -c).bit_length() for c in coeffs if c) - 1
+
+
+def _prem_quotient_int(a: Poly, b: Poly, denom: int) -> Poly:
+    """prem(a, b) / denom over Z, for a denom that divides the pseudo-
+    remainder, by 2-adic exact division (Jebelean, J. Symb. Comp. 15, 1993).
+
+    prem is homogeneous, of degree 1 in a and delta + 1 in b, for
+    m = deg b and delta = deg a - m.  So the powers 2^e and 2^f dividing
+    every coefficient of a and of b come out first, as 2^E with
+    E = e + (delta + 1) f, and cancel against g h^delta; the chains of the
+    paper's prime supports carry such powers in a third to a half of their
+    bits.  The pseudo-quotient Q comes exactly from the top delta + 1
+    coefficients of a (Q_s = lead_s lc(b)^s); the numerator
+    N = lc(b)^(delta+1) a - Q b is never formed.  Its size bound B
+    (``_prem_bits``) gives k = B - bits(denom) + 2, so that every quotient
+    coefficient lies in (-2^(k-1), 2^(k-1)).  Each N_i is taken modulo
+    2^(k+v), v = v_2(denom), from operands reduced first; its low v bits
+    must be zero, and N_i / 2^v times the inverse of the odd part of denom
+    modulo 2^k is the quotient modulo 2^k."""
+    ac, bc = a.coeffs, b.coeffs
+    m = len(bc) - 1
+    delta = len(ac) - 1 - m
+    e, f = _two_adic_content(ac), _two_adic_content(bc)
+    ac, bc = [c >> e for c in ac], [c >> f for c in bc]
+    v = (denom & -denom).bit_length() - 1
+    shift = e + (delta + 1) * f
+    cancelled = min(shift, v)
+    denom >>= cancelled
+    v -= cancelled
+    shift -= cancelled
+    blc = bc[-1]
+    top = ac[m:]
+    quotient = [0] * (delta + 1)
+    for s in range(delta, -1, -1):
+        lead = top[s]
+        quotient[s] = lead * blc**s
+        for j in range(s):
+            top[j] *= blc
+            if lead and m + j >= s:
+                top[j] -= lead * bc[m + j - s]
+    lead_power = blc ** (delta + 1)
+    a_low, b_low = ac[:m], bc[:m]
+    k = max(_prem_bits(lead_power, quotient, a_low, b_low) - denom.bit_length() + 2, 1)
+    kv = k + v
+    wide = (1 << kv) - 1
+
+    def reduced(c):  # c mod 2^(k+v), in at most k + v bits
+        return c & wide if c.bit_length() > kv else c
+
+    lead_power, b_low = reduced(lead_power), [reduced(c) for c in b_low]
+    terms = [(s, reduced(q)) for s, q in enumerate(quotient) if q]
+    inv = _inverse_mod_2k(denom >> v, k)
+    low, mask, half, full = (1 << v) - 1, (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    for i, ai in enumerate(a_low):
+        n = lead_power * reduced(ai)
+        for s, q in terms:
+            if s > i:
+                break
+            n -= q * b_low[i - s]
+        n &= wide
+        if n & low:
+            raise ArithmeticError("pseudo-remainder not divisible by g h^delta in ZZ")
+        c = (n >> v) * inv & mask
+        out.append((c - full if c >= half else c) << shift)
+    return Poly(ZZ, out)
+
+
+# the three largest primes below 2^61, which check the resultant over Z
+_GUARD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+def _check_mod_q(a: Poly, b: Poly, res: int):
+    """Raise ArithmeticError unless res is the resultant over GF(q) of a and b
+    reduced mod q, for q the first prime of ``_GUARD_PRIMES`` (or else the
+    next prime below them) that divides neither leading coefficient, so that
+    reducing keeps both degrees.
+
+    Even operands A(x^2), B(x^2), as the prime supports take, are checked
+    at half their degrees: Res(A(x^2), B(x^2)) = Res(A, B)^2."""
+    la, lb = a.lc(), b.lc()
+    below = (q for q in range(_GUARD_PRIMES[-1] - 2, 2, -2) if is_prime(q))
+    q = next(q for q in chain(_GUARD_PRIMES, below) if la % q and lb % q)
+    even = not any(c for f in (a, b) for c in f.coeffs[1::2])
+    F = GF(q)
+    mod_q = _resultant_field_euclid(
+        *(Poly(F, [c % q for c in (f.coeffs[::2] if even else f.coeffs)]) for f in (a, b))
+    )
+    if res % q != (mod_q * mod_q % q if even else mod_q):
+        raise ArithmeticError(f"resultant over ZZ disagrees with the resultant mod {q}")
 
 
 def resultant(a: Poly, b: Poly):

@@ -2,7 +2,7 @@
 
 This module exists only for the benchmark, which calls and traces these
 names; the package itself uses ``exact.poly.resultant``, its one resultant
-over Z and its one over a field.  The benchmark change of ROADMAP item 6
+over Z and its one over a field.  The benchmark change of ROADMAP item 5
 points the benchmark at ``poly.resultant`` and retires this module.
 """
 from __future__ import annotations

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from jacpairs.exact import poly
 from jacpairs.exact.integers import is_prime
 from jacpairs.exact.poly import Poly, resultant, resultant_sylvester
 from jacpairs.exact.rings import GF, QQ, ZZ
@@ -122,6 +123,60 @@ class TestCRT:
         b = shared * (x + Poly.constant(ZZ, 2))
         assert resultant(a, b) == 0
         assert resultant_int_crt(a, b) == 0
+
+    # degrees 6 and 5, coefficients of 40 to 110 bits: a chain of five
+    # steps whose coefficient bounds are tight to two bits
+    GUARD_A = (3**40 + 7, -(5**30), 2**70 + 1, 11**25, -(7**33), 13**20, 3**41)
+    GUARD_B = (-(2**65) + 3, 17**22, 5**31, -(3**44), 19**20, 7**30)
+
+    def _with_lead(self, coeffs, lead):
+        return Poly(ZZ, coeffs[:-1] + (lead,))
+
+    def test_guard_primes_are_the_largest_below_2_61(self):
+        primes = [q for q in range(2**61 - 1, poly._GUARD_PRIMES[-1] - 1, -2) if is_prime(q)]
+        assert list(poly._GUARD_PRIMES) == primes and len(primes) == 3
+
+    def test_too_small_step_bound_is_caught_by_the_guard(self, monkeypatch):
+        # a bound three bits short leaves the top bits of some coefficient
+        # out of the 2-adic division: the value must be refused, not returned
+        a, b = Poly(ZZ, self.GUARD_A), Poly(ZZ, self.GUARD_B)
+        assert resultant(a, b) == resultant_sylvester(a, b)
+        bits = poly._prem_bits
+        monkeypatch.setattr(poly, "_prem_bits", lambda *args: bits(*args) - 3)
+        with pytest.raises(ArithmeticError, match=f"resultant mod {poly._GUARD_PRIMES[0]}$"):
+            resultant(a, b)
+
+    @pytest.mark.parametrize("lead_a, lead_b, checked_by", [(3, 1, 1), (3, 5, 2), (7, 1, 3)])
+    def test_guard_takes_a_prime_dividing_neither_leading_coefficient(
+        self, monkeypatch, lead_a, lead_b, checked_by
+    ):
+        # the leading coefficients are lead_a times the first guard prime
+        # (times all three for lead_a = 7) and lead_b times the second one
+        # (for lead_b = 5); the next prime below them all checks the last case
+        q0, q1, q2 = poly._GUARD_PRIMES
+        lead_a *= q0 * (q1 * q2 if lead_a == 7 else 1)
+        lead_b *= q1 if lead_b == 5 else 1
+        primes = [q0, q1, q2, next(q for q in range(q2 - 2, 0, -2) if is_prime(q))]
+        a = self._with_lead(self.GUARD_A, lead_a)
+        b = self._with_lead(self.GUARD_B, lead_b)
+        assert resultant(a, b) == resultant_sylvester(a, b)
+        bits = poly._prem_bits
+        monkeypatch.setattr(poly, "_prem_bits", lambda *args: bits(*args) - 3)
+        with pytest.raises(ArithmeticError, match=f"resultant mod {primes[checked_by]}$"):
+            resultant(a, b)
+
+    def test_step_refuses_a_denominator_with_too_many_factors_2(self):
+        # prem(x^2 + 1, x + 1) = 2: divisible by 2, not by 4 or 12
+        a, b = Poly(ZZ, [1, 0, 1]), Poly(ZZ, [1, 1])
+        assert poly._prem_quotient_int(a, b, 2) == Poly(ZZ, [1])
+        for denom in (4, -12):
+            with pytest.raises(ArithmeticError, match="not divisible"):
+                poly._prem_quotient_int(a, b, denom)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 65, 1000])
+    def test_inverse_mod_2k_is_the_modular_inverse(self, k):
+        for d in (1, -1, 3, -7, 2**61 - 1, -(3**500)):
+            assert poly._inverse_mod_2k(d, k) == pow(d, -1, 1 << k)
 
     def test_wrapper_rejects_non_integer_and_zero_input(self):
         one = Poly.one(ZZ)

@@ -159,6 +159,32 @@ def int_poly_pairs(draw):
     return poly(), poly()
 
 
+@st.composite
+def subresultant_pairs(draw):
+    """Two nonzero integer polynomials that reach every corner of the 2-adic
+    step of the subresultant PRS over Z: degrees 0 to 6, coefficients of up
+    to 6, 60 or 200 bits, leading coefficients times 2^j for j up to 40 (so
+    that g h^delta is even); a quarter of the time a shared factor (the
+    resultant is 0), and a quarter of the time a(x^2), b(x^2), whose chain
+    takes delta = 2 in mid-chain, as the prime supports do."""
+    bits = draw(st.sampled_from([6, 60, 200]))
+    coeff = st.integers(-(2**bits), 2**bits)
+
+    def poly(low, high):
+        d = draw(st.integers(low, high))
+        lead = draw(coeff.filter(bool)) << draw(st.integers(0, 40))
+        return Poly(ZZ, draw(st.lists(coeff, min_size=d, max_size=d)) + [lead])
+
+    a, b = poly(0, 6), poly(0, 6)
+    shape = draw(st.sampled_from(["plain", "plain", "shared factor", "even"]))
+    if shape == "shared factor":
+        shared = poly(1, 3)
+        a, b = a * shared, b * shared
+    elif shape == "even":
+        a, b = (f.evaluate(Poly.gen(ZZ) ** 2) for f in (a, b))
+    return a, b
+
+
 def _squarefree_atoms(R):
     """Pairwise coprime monic irreducibles over R: over GF(p) every linear
     and quadratic one, over Q the x - a and x^2 + b for small a and b > 0."""
@@ -209,6 +235,27 @@ def test_squarefree_decomposition_has_the_built_multiplicities(case):
 @example((Poly(ZZ, [-2, 1]) * Poly(ZZ, [3, 0, 1]), Poly(ZZ, [-2, 1]) * Poly(ZZ, [5, 7])))
 @example((Poly(ZZ, [1, 0, 6]), Poly(ZZ, [-1, 4, 0, 9])))
 def test_crt_resultant_is_sylvester_determinant(pair):
+    a, b = pair
+    assert resultant(a, b) == resultant_sylvester(a, b)
+
+
+def _x2(*coeffs):
+    """The integer polynomial sum c_i x^(2i)."""
+    return Poly(ZZ, coeffs).evaluate(Poly.gen(ZZ) ** 2)
+
+
+@PROPERTY
+@given(subresultant_pairs())
+# a(x^2), b(x^2) with leading coefficients 2^40 and 2^13 * 3
+@example((_x2(5, -3, 7, 2**40), _x2(-1, 2**200 + 1, 3 << 13)))
+# a shared factor x^2 - 2 under coefficients near 2^200
+@example((_x2(-2, 1) * Poly(ZZ, [2**200 - 1, 3, -(2**199)]), _x2(-2, 1) * Poly(ZZ, [7, 2**200])))
+# a first step whose one coefficient, 2 (2^200 - 1)^2, meets the size bound
+@example((Poly(ZZ, [2**200 - 1, 2**200 - 1]), Poly(ZZ, [1 - 2**200, 2**200 - 1])))
+# degree-0 operands
+@example((Poly(ZZ, [-(2**200)]), Poly(ZZ, [1, 2, 3])))
+@example((Poly(ZZ, [1, 0, 0, 5 << 30]), Poly(ZZ, [-3 << 7])))
+def test_integer_resultant_is_sylvester_determinant(pair):
     a, b = pair
     assert resultant(a, b) == resultant_sylvester(a, b)
 

@@ -69,7 +69,7 @@ def _layer_cases():
     import random
     from itertools import permutations
 
-    from jacpairs.exact.poly import Poly, resultant
+    from jacpairs.exact.poly import Poly, rational_poly_to_primitive, resultant
     from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
     from jacpairs.exact.roots import (
         distinct_degree_factorization,
@@ -79,7 +79,7 @@ def _layer_cases():
     )
     from jacpairs.families import eval_poly, family_spec, weierstrass_at
     from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
-    from jacpairs.igusa.invariants import igusa_vector
+    from jacpairs.igusa.invariants import igusa_vector, r_polynomials
 
     rng = random.Random(20261019)
     p = 7919
@@ -107,6 +107,10 @@ def _layer_cases():
     dense = Poly.from_ints(F, [3, 1, 4, 1, 5, 9, 2])
     a2, b2 = (tuple(rng.randrange(1, p) for _ in range(2)) for _ in range(2))
     dense_2 = Poly(K2, [tuple(rng.randrange(1, p) for _ in range(2)) for _ in range(7)])
+    # drawn after every input above, so that none of theirs changes
+    wide_a, wide_b = int_poly(120, 20), int_poly(80, 20)
+    r_deg7 = r_polynomials(family_spec("deg7"))
+    r2, r5 = (rational_poly_to_primitive(r_deg7[name])[1] for name in ("R2", "R5"))
 
     # glue_p10 on the first pairing that glues, for howe2 at p = 1009, t = 5
     spec = family_spec("howe2")
@@ -141,6 +145,8 @@ def _layer_cases():
             distinct_degree_factorization(roots_6)
         ),
         "poly.resultant[Z, degrees 12 and 10, 20 digits]": lambda: resultant(res_a, res_b),
+        "poly.resultant[Z, 120 x 80, 20 digits]": lambda: resultant(wide_a, wide_b),
+        "poly.resultant[Z, deg7 prime support R2 x R5]": lambda: resultant(r2, r5),
         "igusa_vector[even sextic over F_7919]": lambda: igusa_vector(even),
         "igusa_vector[dense sextic over F_7919]": lambda: igusa_vector(dense),
         "igusa_vector[dense sextic over GF(7919^2)]": lambda: igusa_vector(dense_2),
