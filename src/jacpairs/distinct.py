@@ -18,6 +18,7 @@ from math import gcd as int_gcd
 from .exact.poly import (
     Poly,
     gcd_field,
+    parity_split,
     poly_divmod,
     radical,
     rational_poly_to_primitive,
@@ -45,17 +46,21 @@ def prime_support(spec: FamilySpec) -> dict:
 
     The resultants are of the primitive Z[t] parts of R2, R3, R5, computed
     by ``poly.resultant`` over Z (subresultant PRS) and factored by trial
-    division up to 2 * 10^6."""
+    division up to 2 * 10^6.  Each primitive part is even in t, A(t^2)
+    (``parity_split`` checks it), and Res(A(t^2), B(t^2)) = Res(A, B)^2, so
+    the resultants are taken on the halves A, B and squared."""
     if not spec.r_denominators:
         raise ValueError(
             f"family {spec.id!r} has no weighted-difference data"
         )
     rp = r_polynomials(spec)
-    prim = {}
+    half = {}
     for name in _BASE_TRIPLE:
-        _, prim[name] = rational_poly_to_primitive(rp[name])
-    res23 = resultant(prim["R2"], prim["R3"])
-    res25 = resultant(prim["R2"], prim["R5"])
+        k, half[name] = parity_split(rational_poly_to_primitive(rp[name])[1])
+        if k:
+            raise ArithmeticError(f"{name} of family {spec.id!r} is not even in t")
+    res23 = resultant(half["R2"], half["R3"]) ** 2
+    res25 = resultant(half["R2"], half["R5"]) ** 2
     g = int_gcd(res23, res25)
     factors, cofactor = trial_division(g, 2_000_000)
     support = sorted(factors)
@@ -75,39 +80,54 @@ def prime_support(spec: FamilySpec) -> dict:
 
 # ---------------------------------------------------------------------------
 # characteristic-p analysis
+#
+# Every numerator R = P(t) - P(-t) is odd in t, and every printed denominator
+# is t times an even polynomial, so the analysis runs on the halves in
+# u = t^2: a numerator is t E(t^2), and a monic irreducible g(u) other than u
+# is g(t^2) = fac(t) for an even irreducible fac, or +-fac(t) fac(-t).
 # ---------------------------------------------------------------------------
 
 
-def _strip_factors(num, factor_polys):
-    """Divide out the maximal power of each (coprime, squarefree) factor
-    polynomial; returns the stripped polynomial and {factor: exponent}."""
-    stripped = {}
-    for fac in factor_polys:
-        e = 0
-        while num.degree >= fac.degree:
-            q, r = poly_divmod(num, fac)
-            if not r.is_zero():
-                break
-            num, e = q, e + 1
-        if e:
-            stripped[fac] = e
-    return num, stripped
+def _valuation(f, g):
+    """(v, f / g^v) for the largest v with g^v dividing f (g of degree > 0)."""
+    if g.degree == 1 and g.ring.is_zero(g.coeffs[0]):
+        v = next(i for i, c in enumerate(f.coeffs) if not f.ring.is_zero(c))
+        return v, Poly(f.ring, f.coeffs[v:])
+    v = 0
+    while f.degree >= g.degree:
+        q, r = poly_divmod(f, g)
+        if not r.is_zero():
+            break
+        f, v = q, v + 1
+    return v, f
 
 
-def _strip_base(spec, F):
-    """Irreducible factors mod p of every printed denominator (or, for a
-    family without them, of the validity polynomial): the factors that may
-    legitimately divide the reduced numerators."""
-    polys = list(spec.r_denominators.values()) or [spec.validity_t]
-    seen = []
+def _base_factors(spec, F):
+    """The factors that may legitimately divide the reduced numerators: the
+    monic irreducible g(u) over F, other than u, of the halves of the
+    distinct printed denominators (for a family without them, of the
+    validity polynomial), each with the irreducible factors of g(t^2) in t.
+
+    t itself must be a base factor (a denominator is odd, or u divides a
+    half): every numerator vanishes at t = 0, where C_t = C_{-t}."""
+    polys = dict.fromkeys(spec.r_denominators.values()) or [spec.validity_t]
+    u = Poly.gen(F)
+    t_is_base = False
+    base = {}
     for poly in polys:
         red = poly.map_coeffs(F, partial(scalar_in, F))
         if red.is_zero():
             continue
-        for fac, _ in irreducible_factors(red)[1]:
-            if fac.degree > 0 and fac not in seen:
-                seen.append(fac)
-    return seen
+        k, half = parity_split(red)
+        v, half = _valuation(half, u)
+        t_is_base = t_is_base or k + v > 0
+        for g in base:
+            half = _valuation(half, g)[1]
+        for g, _ in irreducible_factors(half)[1] if half.degree > 0 else ():
+            base[g] = [fac for fac, _ in irreducible_factors(g.substitute_square())[1]]
+    if not t_is_base:
+        raise ValueError(f"family {spec.id!r}: t divides no denominator mod {F.p}")
+    return base
 
 
 def charp_analysis(spec: FamilySpec, p: int) -> dict:
@@ -115,7 +135,15 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     denominator factors stripped to maximal power, plus verification of any
     recorded exceptional locus at p (roots found in the smallest field
     containing them; the two curves there are checked to be geometrically
-    isomorphic to each other and to the recorded representative)."""
+    isomorphic to each other and to the recorded representative).
+
+    The work is on the halves in u = t^2 (see above).  A factor fac of t is
+    stripped from t^k E(t^2) to the power k + 2 v_u(E) for fac = t, and
+    v_g(E) for the g(u) under fac.  The locus is the radical of the gcd of
+    the halves with every base g stripped, at u = t^2: stripping a factor
+    completely leaves the multiplicity of every other one alone, so the
+    radical does not depend on whether the gcd or the strip comes first,
+    and with u stripped, a squarefree L(u) gives a squarefree L(t^2)."""
     if p <= 5:
         raise ValueError("p > 5 required")
     F = GF(p)
@@ -127,23 +155,28 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
         triple = _FALLBACK_TRIPLE
     numerators = r_numerators(js, triple)
 
-    base = _strip_base(spec, F)
+    base = _base_factors(spec, F)
+    u = Poly.gen(F)
     stripped_report = {}
-    stripped_polys = {}
+    halves = []
     for name in triple:
         num = numerators[name]
         if num.is_zero():
             raise ArithmeticError(f"{name} vanishes identically mod {p}")
-        num, stripped = _strip_factors(num, base)
-        stripped_polys[name] = num
-        stripped_report[name] = {
-            str(fac): e for fac, e in sorted(stripped.items(), key=lambda kv: str(kv[0]))
-        }
+        k, half = parity_split(num)
+        halves.append(half)
+        stripped = {str(u): k + 2 * _valuation(half, u)[0]}
+        for g, facs in base.items():
+            e = _valuation(half, g)[0]
+            stripped.update((str(fac), e) for fac in facs)
+        stripped_report[name] = {key: e for key, e in sorted(stripped.items()) if e}
 
-    locus = stripped_polys[triple[0]]
-    for name in triple[1:]:
-        locus = gcd_field(locus, stripped_polys[name])
-    locus = radical(locus)
+    common = halves[0]
+    for half in halves[1:]:
+        common = gcd_field(common, half)
+    for g in (u, *base):
+        common = _valuation(common, g)[1]
+    locus = radical(common).substitute_square()
 
     exc = next((e for e in spec.exceptional if e.p == p), None)
     expected = Poly.one(F)

@@ -185,6 +185,13 @@ class Poly:
         R = self.ring
         return Poly(R, [c if i % 2 == 0 else R.neg(c) for i, c in enumerate(self.coeffs)])
 
+    def substitute_square(self):
+        """f(x^2)."""
+        R = self.ring
+        out = [R.zero] * max(2 * len(self.coeffs) - 1, 0)
+        out[::2] = self.coeffs
+        return Poly(R, out)
+
     def monic(self):
         R = self.ring
         if not R.is_field:
@@ -261,6 +268,22 @@ class PolyRing:
 
     def __repr__(self):
         return self.name
+
+
+# -- parity -------------------------------------------------------------------
+
+
+def parity_split(f: Poly):
+    """(k, E) with f = x^k E(x^2) and k = deg f mod 2, so that
+    f(-x) = (-1)^k f(x).  Raises ArithmeticError if some term of f has the
+    other parity: a caller working on the half E checks the symmetry instead
+    of assuming it."""
+    if f.is_zero():
+        raise ValueError("parity of the zero polynomial")
+    k = f.degree % 2
+    if any(not f.ring.is_zero(c) for c in f.coeffs[1 - k :: 2]):
+        raise ArithmeticError(f"{f!r} has terms of both parities")
+    return k, Poly(f.ring, f.coeffs[k::2])
 
 
 # -- division -----------------------------------------------------------------
@@ -563,19 +586,13 @@ def _check_mod_q(a: Poly, b: Poly, res: int):
     """Raise ArithmeticError unless res is the resultant over GF(q) of a and b
     reduced mod q, for q the first prime of ``_GUARD_PRIMES`` (or else the
     next prime below them) that divides neither leading coefficient, so that
-    reducing keeps both degrees.
-
-    Even operands A(x^2), B(x^2), as the prime supports take, are checked
-    at half their degrees: Res(A(x^2), B(x^2)) = Res(A, B)^2."""
+    reducing keeps both degrees."""
     la, lb = a.lc(), b.lc()
     below = (q for q in range(_GUARD_PRIMES[-1] - 2, 2, -2) if is_prime(q))
     q = next(q for q in chain(_GUARD_PRIMES, below) if la % q and lb % q)
-    even = not any(c for f in (a, b) for c in f.coeffs[1::2])
     F = GF(q)
-    mod_q = _resultant_field_euclid(
-        *(Poly(F, [c % q for c in (f.coeffs[::2] if even else f.coeffs)]) for f in (a, b))
-    )
-    if res % q != (mod_q * mod_q % q if even else mod_q):
+    mod_q = _resultant_field_euclid(*(Poly(F, [c % q for c in f.coeffs]) for f in (a, b)))
+    if res % q != mod_q:
         raise ArithmeticError(f"resultant over ZZ disagrees with the resultant mod {q}")
 
 

@@ -59,7 +59,9 @@ class IntegerRing:
     def divexact(self, a, b):
         q, r = divmod(a, b)
         if r:
-            raise ArithmeticError(f"inexact division {a} / {b} in ZZ")
+            raise ArithmeticError(
+                f"inexact division in ZZ of a {a.bit_length()}-bit integer by a {b.bit_length()}-bit one"
+            )
         return q
 
     def is_zero(self, a):

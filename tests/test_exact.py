@@ -1,6 +1,7 @@
 """Unit tests for the exact-arithmetic layer."""
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from jacpairs.exact.poly import (
     PolyRing,
     discriminant,
     gcd_field,
+    parity_split,
     poly_divmod,
     rational_poly_to_primitive,
     resultant,
@@ -74,6 +76,18 @@ class TestRings:
         for x in range(1, 101):
             e = F.from_int(x)
             assert F.is_square(e) == (e in squares)
+
+    def test_inexact_division_of_large_integers_is_an_arithmetic_error(self):
+        # the message must not format the operands: at the default
+        # int <-> str conversion limit (4 300 digits) that raises ValueError
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ArithmeticError, match="16610-bit integer by a 16607-bit one"):
+                ZZ.divexact(10**5000 + 1, 10**4999)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert ZZ.divexact(-(10**5000), 10**4999) == -10
 
     def test_extension_field_is_field(self):
         for p, m in ((11, 6), (13, 4), (101, 3), (5, 2)):
@@ -221,6 +235,22 @@ class TestPoly:
         f = Poly.from_ints(QQ, ints)
         assert f.coeffs == (-1, 15, 3, -7)
         assert all(type(c) is Fraction for c in f.coeffs)
+
+    def test_parity_split(self):
+        x = Poly.gen(ZZ)
+        assert parity_split(3 * x**4 - x**2 + 5) == (0, Poly.from_ints(ZZ, [5, -1, 3]))
+        assert parity_split(x**5 + 2 * x) == (1, Poly.from_ints(ZZ, [2, 0, 1]))
+        assert parity_split(Poly.one(GF(7))) == (0, Poly.one(GF(7)))
+        for f in (x**2 + 1, x**3 - x, Poly.one(ZZ)):
+            k, half = parity_split(f)
+            assert f == half.substitute_square() * x**k
+
+    @pytest.mark.parametrize("ints", [[1, 1], [0, 1, 1], [5, 0, 2, 0, 0, 1], [0, 3, 0, 0, 1]])
+    def test_parity_split_refuses_mixed_parity(self, ints):
+        with pytest.raises(ArithmeticError, match="both parities"):
+            parity_split(Poly.from_ints(GF(7), ints))
+        with pytest.raises(ValueError):
+            parity_split(Poly.zero(GF(7)))
 
     def test_inexact_division_raises(self):
         x = Poly.gen(ZZ)

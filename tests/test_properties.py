@@ -14,8 +14,9 @@ residue ring K[x]/(f) against ``Poly`` arithmetic and a square-and-multiply
 power; the Cantor-Zassenhaus norm power against that power, the linear
 Frobenius of GF(p^m) against the p-th power, the roots ``_one_root``
 finds against evaluation, and the closed-form GF(p^2) arithmetic against the
-generic GF(p^m) code.  ``derandomize=True`` draws
-the same inputs on every run."""
+generic GF(p^m) code; and the Sylvester determinant of even polynomials
+A(x^2), B(x^2) against the square of the resultant of A and B.
+``derandomize=True`` draws the same inputs on every run."""
 import itertools
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from jacpairs.exact.poly import (
     PolyRing,
     discriminant,
     gcd_field,
+    parity_split,
     poly_divmod,
     resultant,
     resultant_sylvester,
@@ -258,6 +260,16 @@ def _x2(*coeffs):
 def test_integer_resultant_is_sylvester_determinant(pair):
     a, b = pair
     assert resultant(a, b) == resultant_sylvester(a, b)
+
+
+@PROPERTY
+@given(int_poly_pairs())
+def test_resultant_of_even_polynomials_is_the_square_on_the_halves(pair):
+    # Res(A(x^2), B(x^2)) = Res(A, B)^2, which the prime supports rest on
+    a, b = pair
+    even = [f.substitute_square() for f in (a, b)]
+    assert [parity_split(f) for f in even] == [(0, a), (0, b)]
+    assert resultant_sylvester(*even) == resultant(a, b) ** 2
 
 
 @st.composite

@@ -69,6 +69,7 @@ def _layer_cases():
     import random
     from itertools import permutations
 
+    from jacpairs.distinct import charp_analysis
     from jacpairs.exact.poly import Poly, rational_poly_to_primitive, resultant
     from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
     from jacpairs.exact.roots import (
@@ -109,8 +110,11 @@ def _layer_cases():
     dense_2 = Poly(K2, [tuple(rng.randrange(1, p) for _ in range(2)) for _ in range(7)])
     # drawn after every input above, so that none of theirs changes
     wide_a, wide_b = int_poly(120, 20), int_poly(80, 20)
+    # prime_support takes its resultants on the halves A of the even A(t^2)
     r_deg7 = r_polynomials(family_spec("deg7"))
-    r2, r5 = (rational_poly_to_primitive(r_deg7[name])[1] for name in ("R2", "R5"))
+    r2, r5 = (
+        Poly(ZZ, rational_poly_to_primitive(r_deg7[name])[1].coeffs[::2]) for name in ("R2", "R5")
+    )
 
     # glue_p10 on the first pairing that glues, for howe2 at p = 1009, t = 5
     spec = family_spec("howe2")
@@ -128,7 +132,7 @@ def _layer_cases():
             continue
     else:
         raise RuntimeError("no pairing glues")
-    deg3 = family_spec("deg3")
+    deg3, deg4, deg7 = (family_spec(fid) for fid in ("deg3", "deg4", "deg7"))
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -154,6 +158,8 @@ def _layer_cases():
         "verify_reconstruction[deg3@522719:t=454676]": lambda: verify_reconstruction(
             deg3, 522719, 454676
         ),
+        "charp_analysis[deg7@571603]": lambda: charp_analysis(deg7, 571603),
+        "charp_analysis[deg4@23]": lambda: charp_analysis(deg4, 23),
     }
 
 
