@@ -100,12 +100,62 @@ def _split_record(f: Poly, d):
     return {"disc_is_square": square, "root_count": nroots, "consistent": consistent}
 
 
+# The sieve's moduli: a power of 2, a power of 3 and the primes 5 to 17, each
+# small enough for a table of its squares.  Fewer than one residue in five is
+# a square mod 64, four in nine mod 9, and about half mod an odd prime.  With
+# 13 as the largest prime, 1 in 13 coprime (a, b) still reached the exact
+# test on O_18, whose rhs has three rational roots; with 17 it is 1 in 26
+# there, and 1 in 59 or fewer on the other nine record curves.
+_SIEVE_MODULI = (64, 9, 5, 7, 11, 13, 17)
+_SQUARES_MOD = {M: frozenset(r * r % M for r in range(M)) for M in _SIEVE_MODULI}
+
+
+def _sieve_mask(M, weights, g, bound):
+    """The bits i of [0, 2 bound] such that a = i - bound may give a point:
+    rhs(a) = sum_k weights[k] a^(d-k) is a square mod M, and a shares no
+    factor with g = gcd(b, M).  One period of M bits is tiled to the full
+    width by doubling shifts."""
+    squares = _SQUARES_MOD[M]
+    period = 0
+    for j in range(M):
+        r = (j - bound) % M
+        if gcd(r, g) != 1:
+            continue
+        rhs = 0
+        for w in weights:
+            rhs = (rhs * r + w) % M
+        if rhs in squares:
+            period |= 1 << j
+    width = 2 * bound + 1
+    length = M
+    while length < width:
+        period |= period << length
+        length *= 2
+    return period & ((1 << width) - 1)
+
+
 def odd_degree_point_search(f: Poly, bound: int):
-    """All affine rational points (a/b^2, c/b^d) on y^2 = f(x), f of odd
-    degree d with integer coefficients, with |a| <= bound, 0 < b <=
+    """All affine rational points (a/b^2, c/b^d) on y^2 = f(x), f monic of
+    odd degree d with integer coefficients, with |a| <= bound, 0 < b <=
     sqrt(bound) and gcd(a, b) = 1, found by exhaustive scan (NOT a
-    completeness proof).  b^(2d) f(a/b^2) is an integer, and it is a square
-    c^2 exactly when f(a/b^2) is the square of a rational."""
+    completeness proof: a point of larger height is not seen).
+
+    For monic integral f every rational point has this shape: at a prime
+    dividing the denominator of x, v(f(x)) = d v(x) must be even, so the
+    denominator is a square.  A non-monic f raises ValueError, since with a
+    leading coefficient c, v(c) + d v(x) can be even with v(x) odd, and such
+    points would be missed silently.
+
+    rhs = b^(2d) f(a/b^2) = sum_k c_k a^(d-k) b^(2k) is an integer, and it
+    is a square c^2 exactly when f(a/b^2) is the square of a rational.  For
+    each b the candidates a are first sieved (as in Stoll's ``ratpoints``):
+    for each modulus M of ``_SIEVE_MODULI`` a bitmask over [-bound, bound]
+    keeps the a with rhs a square mod M and with no factor in common with
+    gcd(b, M), and the masks are ANDed.  An integer square is a square mod
+    every M, so the sieve strikes no point.  The masks are cached on
+    (M, weights mod M, gcd(b, M)).  Only the surviving a are tested exactly:
+    gcd(a, b) = 1, rhs by Horner, then ``is_perfect_square``, so every
+    reported point is certified in Z."""
     if bound < 1:
         raise ValueError("height bound must be >= 1")
     d = f.degree
@@ -117,12 +167,24 @@ def odd_degree_point_search(f: Poly, bound: int):
         if c.denominator != 1:
             raise ValueError("integer model required for the search")
         high_to_low.append(c.numerator)
+    if high_to_low[0] != 1:
+        raise ValueError("monic model required for the search")
+    masks = {}
     found = []
     for b in range(1, isqrt(bound) + 1):
         bb, bd = b * b, b**d
         # b^(2d) f(a/b^2) = sum c_i a^i (b^2)^(d-i), by Horner in a
         weights = [c * bb**k for k, c in enumerate(high_to_low)]
-        for a in range(-bound, bound + 1):
+        alive = -1
+        for M in _SIEVE_MODULI:
+            key = (M, tuple(w % M for w in weights), gcd(b, M))
+            if key not in masks:
+                masks[key] = _sieve_mask(M, key[1], key[2], bound)
+            alive &= masks[key]
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            a = low.bit_length() - 1 - bound
             if gcd(a, b) != 1:
                 continue
             rhs = 0

@@ -369,13 +369,27 @@ def gcd_field(a: Poly, b: Poly) -> Poly:
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if a.ring is QQ:
-        a, b = rational_poly_to_primitive(a)[1], rational_poly_to_primitive(b)[1]
-        while not b.is_zero():
-            a, b = b, primitive_part_int(pseudo_rem(a, b))[1]
-        return Poly(QQ, [Fraction(c, a.lc()) for c in a.coeffs])
+        g = _gcd_primitive_int(rational_poly_to_primitive(a)[1], rational_poly_to_primitive(b)[1])
+        return _monic_q(g)
     while not b.is_zero():
         a, b = b, poly_divmod(a, b)[1]
     return a.monic()
+
+
+def _gcd_primitive_int(a: Poly, b: Poly) -> Poly:
+    """The gcd in Z[x] of the primitive parts of a and b, primitive with a
+    positive leading coefficient, by the primitive PRS (Brown 1971): each
+    remainder is the primitive part of a pseudo-remainder."""
+    a, b = primitive_part_int(a)[1], primitive_part_int(b)[1]
+    while not b.is_zero():
+        a, b = b, primitive_part_int(pseudo_rem(a, b))[1]
+    return a
+
+
+def _monic_q(a: Poly) -> Poly:
+    """A nonzero Z-polynomial divided by its leading coefficient, over Q."""
+    lc = a.lc()
+    return Poly(QQ, [Fraction(c, lc) for c in a.coeffs])
 
 
 def content_int(a: Poly) -> int:
@@ -746,32 +760,51 @@ def squarefree_decomposition(f: Poly):
     Musser's algorithm, in every characteristic: strip the multiplicities
     prime to the characteristic one level at a time, then recurse on the
     leftover p-th power part through the inverse Frobenius (in
-    characteristic 0 nothing is left over).  The output is verified
-    against f so a silent failure is impossible.
+    characteristic 0 nothing is left over).
+
+    Over Q the loop runs on the primitive part of f in Z[x] (Yun 1976;
+    Musser 1971): each gcd is ``_gcd_primitive_int``, the primitive PRS of
+    ``gcd_field``, and each division is exact in Z[x], raising
+    ArithmeticError on a nonzero remainder or a quotient coefficient that
+    is not an integer.  Every factor is primitive with a positive leading
+    coefficient, so no fraction is formed until the factors are made monic.
+
+    The output is verified against f (over Q, the product of the factors
+    against the primitive part, in Z[x]), so a silent failure is
+    impossible.
     """
     R = f.ring
-    f = f.monic()
+    if f.is_zero():
+        raise ValueError("squarefree decomposition of the zero polynomial")
+    if R is QQ:
+        f = rational_poly_to_primitive(f)[1]
+        gcd, divexact = _gcd_primitive_int, PolyRing(ZZ).divexact
+    else:
+        f = f.monic()
+        gcd, divexact = gcd_field, lambda a, b: poly_divmod(a, b)[0]
     if f.degree <= 0:
         return []
-    c = gcd_field(f, f.derivative())
-    w = poly_divmod(f, c)[0]
+    c = gcd(f, f.derivative())
+    w = divexact(f, c)
     out = []
     i = 1
     while w.degree > 0:
-        y = gcd_field(w, c)
-        z = poly_divmod(w, y)[0]
+        y = gcd(w, c)
+        z = divexact(w, y)
         if z.degree > 0:
             out.append((z, i))
         w = y
-        c = poly_divmod(c, y)[0]
+        c = divexact(c, y)
         i += 1
-    if c.degree > 0:
+    if c.degree > 0 and R.char:
         out.extend((g, m * R.char) for g, m in squarefree_decomposition(_pth_root(c)))
-    prod = Poly.one(R)
+    prod = Poly.one(f.ring)
     for h, m in out:
         prod = prod * h**m
-    if prod.monic() != f:
+    if (prod if R is QQ else prod.monic()) != f:
         raise ArithmeticError("squarefree decomposition inconsistency (multiplicity >= char?)")
+    if R is QQ:
+        out = [(_monic_q(h), m) for h, m in out]
     return out
 
 

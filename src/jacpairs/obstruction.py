@@ -129,9 +129,10 @@ def _to_q(p):
 
 def _mod_squares_of_rational(num, den):
     """num/den in Q(x) modulo squares, as a monic polynomial plus the
-    leftover rational constant."""
-    prod = _to_q(num) * _to_q(den)
-    return squarefree_part(prod), prod.lc()
+    leftover rational constant; num and den are over Z, and so is their
+    product num * den, which has the same class modulo squares."""
+    prod = num * den
+    return squarefree_part(_to_q(prod)), Fraction(prod.lc())
 
 
 def square_condition_consistency(n: int) -> dict:

@@ -4,10 +4,13 @@ from math import gcd, isqrt
 
 import pytest
 
+import jacpairs.ellcurve as ellcurve
+import jacpairs.exact.poly as poly
+import jacpairs.obstruction as obstruction
 from jacpairs.ellcurve import AffinePoint, odd_degree_point_search
 from jacpairs.exact.integers import is_perfect_square
-from jacpairs.exact.poly import Poly
-from jacpairs.exact.rings import ZZ
+from jacpairs.exact.poly import Poly, gcd_field, poly_divmod, squarefree_decomposition
+from jacpairs.exact.rings import QQ, ZZ
 from jacpairs.obstruction import (
     OBSTRUCTION_DEGREES,
     RECORDS,
@@ -103,3 +106,155 @@ class TestPointSearch:
         found = odd_degree_point_search(curve, 16)
         assert AffinePoint(Fraction(1, 4), Fraction(1023, 32)) in found
         assert found == _fraction_search(curve, 16)
+
+    def test_non_monic_model_rejected(self):
+        # y^2 = 2x^3 + 2 has (1, 2); over x = a/b^2 alone a non-monic model
+        # can miss points, so the search refuses it instead
+        curve = Poly.from_ints(ZZ, [2, 0, 0, 2])
+        with pytest.raises(ValueError, match="monic"):
+            odd_degree_point_search(curve, 10)
+
+
+# curves with many small points: y^2 = x^3 + 17 (rank 2), x^3 - 43x + 166
+# (a point of order 7), x^3 + x^2 - 2x and the quintic x^5 - x + 1
+MANY_POINTS = {
+    "x^3+17": [17, 0, 0, 1],
+    "x^3-43x+166": [166, -43, 0, 1],
+    "x^3+x^2-2x": [0, -2, 1, 1],
+    "x^5-x+1": [1, -1, 0, 0, 0, 1],
+}
+
+
+class TestSieve:
+    """The sieve of ``odd_degree_point_search`` against the unsieved
+    ``_fraction_search``."""
+
+    # b reaches 1, 1, 1, 17 and 31: b = 6, 10 and 30 have several prime factors
+    @pytest.mark.parametrize("bound", [1, 2, 3, 301, 1000])
+    @pytest.mark.parametrize("name", sorted(MANY_POINTS))
+    def test_matches_fraction_search(self, name, bound):
+        curve = Poly.from_ints(ZZ, MANY_POINTS[name])
+        found = odd_degree_point_search(curve, bound)
+        assert found == _fraction_search(curve, bound)
+        if bound >= 3:
+            assert found
+
+    @pytest.mark.parametrize("n", OBSTRUCTION_DEGREES)
+    def test_few_pairs_reach_the_exact_test(self, n, monkeypatch):
+        # liveness: at most 1 in 20 of the coprime (a, b) is tested exactly
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return is_perfect_square(v)
+
+        monkeypatch.setattr(ellcurve, "is_perfect_square", counted)
+        curve = RECORDS[n].curve
+        bound = 1000 if curve.degree == 3 else 200
+        assert odd_degree_point_search(curve, bound) == sorted(
+            RECORDS[n].points, key=lambda P: (P.x, P.y)
+        )
+        coprime = sum(
+            1
+            for b in range(1, isqrt(bound) + 1)
+            for a in range(-bound, bound + 1)
+            if gcd(a, b) == 1
+        )
+        assert 0 < 20 * len(calls) <= coprime
+
+    def test_dropped_square_class_loses_a_recorded_point(self, monkeypatch):
+        # every recorded point of O_6 has rhs = 0; without 0 among the
+        # squares mod 7 the sieve strikes them, which the exact test never sees
+        curve = RECORDS[6].curve
+        assert AffinePoint(Fraction(-8), Fraction(0)) in odd_degree_point_search(curve, 1000)
+        squares = ellcurve._SQUARES_MOD[7]
+        monkeypatch.setitem(ellcurve._SQUARES_MOD, 7, squares - {0})
+        assert AffinePoint(Fraction(-8), Fraction(0)) not in odd_degree_point_search(curve, 1000)
+
+    def test_dropped_square_class_loses_only_its_points(self, monkeypatch):
+        # y^2 = x^3 + 17: rhs(2) = 25 and rhs(-2) = 9 differ mod 64
+        curve = Poly.from_ints(ZZ, MANY_POINTS["x^3+17"])
+        squares = ellcurve._SQUARES_MOD[64]
+        monkeypatch.setitem(ellcurve._SQUARES_MOD, 64, squares - {25})
+        xs = {P.x for P in odd_degree_point_search(curve, 100)}
+        assert Fraction(2) not in xs
+        assert Fraction(-2) in xs
+
+
+def _fraction_squarefree_decomposition(f):
+    """The earlier Q[x] route, kept as the reference: Musser's loop on the
+    monic f with every division by ``poly_divmod`` over Q."""
+    f = f.monic()
+    if f.degree <= 0:
+        return []
+    c = gcd_field(f, f.derivative())
+    w = poly_divmod(f, c)[0]
+    out = []
+    i = 1
+    while w.degree > 0:
+        y = gcd_field(w, c)
+        z = poly_divmod(w, y)[0]
+        if z.degree > 0:
+            out.append((z, i))
+        w = y
+        c = poly_divmod(c, y)[0]
+        i += 1
+    return out
+
+
+def _square_condition_inputs(monkeypatch):
+    """Every polynomial that ``square_condition_consistency`` hands to
+    ``squarefree_part`` over the ten recorded degrees: the shifted j's and
+    record deltas (num * den) and their products."""
+    seen = []
+    real = obstruction.squarefree_part
+
+    def spy(f):
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(obstruction, "squarefree_part", spy)
+    for n in OBSTRUCTION_DEGREES:
+        square_condition_consistency(n)
+    monkeypatch.undo()
+    return seen
+
+
+def _q(*coeffs):
+    return Poly(QQ, [Fraction(c) for c in coeffs])
+
+
+class TestSquarefreeOverQ:
+    def test_square_condition_inputs_match_the_q_route(self, monkeypatch):
+        inputs = _square_condition_inputs(monkeypatch)
+        assert len(inputs) >= 3 * len(OBSTRUCTION_DEGREES)
+        assert max(f.degree for f in inputs) >= 20
+        for f in inputs:
+            assert squarefree_decomposition(f) == _fraction_squarefree_decomposition(f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # -(3/2) (x - 1/2)^2 (x^2 + 3)^3
+            _q(Fraction(-3, 2)) * _q(Fraction(-1, 2), 1) ** 2 * _q(3, 0, 1) ** 3,
+            _q(Fraction(6, 35)) * _q(Fraction(1, 3), 1) ** 5 * _q(-2, 1) * _q(7, 0, 0, 1) ** 2,
+            _q(-12, 0, 4),
+            _q(Fraction(5, 7)),
+        ],
+    )
+    def test_non_integral_input_matches_the_q_route(self, f):
+        parts = squarefree_decomposition(f)
+        assert parts == _fraction_squarefree_decomposition(f)
+        assert all(type(c) is Fraction for g, _ in parts for c in g.coeffs)
+
+    def test_corrupted_exact_division_raises(self, monkeypatch):
+        f = _q(Fraction(-3, 2)) * _q(Fraction(-1, 2), 1) ** 2 * _q(3, 0, 1) ** 3
+        real = poly.poly_divmod
+
+        def corrupted(a, b):
+            q, r = real(a, b)
+            return q + 1, r
+
+        monkeypatch.setattr(poly, "poly_divmod", corrupted)
+        with pytest.raises(ArithmeticError, match="inconsistency|inexact"):
+            squarefree_decomposition(f)

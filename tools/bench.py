@@ -67,20 +67,23 @@ def _median_call_s(fn):
 def _layer_cases():
     """name -> zero-argument call, on inputs fixed here."""
     import random
+    from fractions import Fraction
     from itertools import permutations
 
     from jacpairs.distinct import charp_analysis
-    from jacpairs.exact.poly import Poly, rational_poly_to_primitive, resultant
-    from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
+    from jacpairs.ellcurve import odd_degree_point_search
+    from jacpairs.exact.poly import Poly, rational_poly_to_primitive, resultant, squarefree_part
+    from jacpairs.exact.rings import GF, QQ, ZZ, GFext, _default_modulus
     from jacpairs.exact.roots import (
         distinct_degree_factorization,
         irreducible_factors,
         roots,
         splitting_field,
     )
-    from jacpairs.families import eval_poly, family_spec, weierstrass_at
+    from jacpairs.families import eval_poly, family_spec, weierstrass_at, x0_jpair
     from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
     from jacpairs.igusa.invariants import igusa_vector, r_polynomials
+    from jacpairs.obstruction import RECORDS
 
     rng = random.Random(20261019)
     p = 7919
@@ -133,6 +136,14 @@ def _layer_cases():
     else:
         raise RuntimeError("no pairing glues")
     deg3, deg4, deg7 = (family_spec(fid) for fid in ("deg3", "deg4", "deg7"))
+    # drawn after every input above: the obstruction curve O_5, and the
+    # (j - 1728) num * den of X_0(18) that the square condition reduces
+    o5 = RECORDS[5].curve
+    j_num, j_den = x0_jpair(18).j
+    shifted, den = (
+        rational_poly_to_primitive(f)[1] for f in (j_num - j_den.scale(Fraction(1728)), j_den)
+    )
+    j18 = (shifted * den).map_coeffs(QQ, Fraction)
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -160,6 +171,8 @@ def _layer_cases():
         ),
         "charp_analysis[deg7@571603]": lambda: charp_analysis(deg7, 571603),
         "charp_analysis[deg4@23]": lambda: charp_analysis(deg4, 23),
+        "odd_degree_point_search[O_5, bound 1000]": lambda: odd_degree_point_search(o5, 1000),
+        "squarefree_part[Q, X_0(18) (j - 1728) num*den]": lambda: squarefree_part(j18),
     }
 
 
