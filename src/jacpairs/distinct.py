@@ -21,7 +21,6 @@ from .exact.poly import (
     parity_split,
     poly_divmod,
     radical,
-    rational_poly_to_primitive,
     resultant,
 )
 from .exact.integers import trial_division
@@ -44,11 +43,12 @@ def prime_support(spec: FamilySpec) -> dict:
     """Primes dividing gcd(Res(R2, R3), Res(R2, R5)) for a family with
     printed weighted-difference denominators.
 
-    The resultants are of the primitive Z[t] parts of R2, R3, R5, computed
-    by ``poly.resultant`` over Z (subresultant PRS) and factored by trial
-    division up to 2 * 10^6.  Each primitive part is even in t, A(t^2)
-    (``parity_split`` checks it), and Res(A(t^2), B(t^2)) = Res(A, B)^2, so
-    the resultants are taken on the halves A, B and squared."""
+    The resultants are of R2, R3, R5 as ``r_polynomials`` returns them,
+    primitive in Z[t], computed by ``poly.resultant`` over Z (subresultant
+    PRS) and factored by trial division up to 2 * 10^6.  Each is even in
+    t, A(t^2) (``parity_split`` checks it), and Res(A(t^2), B(t^2)) =
+    Res(A, B)^2, so the resultants are taken on the halves A, B and
+    squared."""
     if not spec.r_denominators:
         raise ValueError(
             f"family {spec.id!r} has no weighted-difference data"
@@ -56,7 +56,7 @@ def prime_support(spec: FamilySpec) -> dict:
     rp = r_polynomials(spec)
     half = {}
     for name in _BASE_TRIPLE:
-        k, half[name] = parity_split(rational_poly_to_primitive(rp[name])[1])
+        k, half[name] = parity_split(rp[name])
         if k:
             raise ArithmeticError(f"{name} of family {spec.id!r} is not even in t")
     res23 = resultant(half["R2"], half["R3"]) ** 2

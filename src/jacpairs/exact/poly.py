@@ -18,12 +18,11 @@ transcription honest.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd as int_gcd
 
 from .integers import is_prime
-from .rings import GF, QQ, ZZ, ring_pow
+from .rings import GF, ZZ, ring_pow
 
 
 class Poly:
@@ -87,8 +86,6 @@ class Poly:
             return other
         if isinstance(other, int):
             return Poly(self.ring, [self.ring.from_int(other)])
-        if isinstance(other, Fraction) and self.ring is QQ:
-            return Poly(self.ring, [other])
         return NotImplemented
 
     def __add__(self, other):
@@ -358,19 +355,12 @@ def pseudo_rem(a: Poly, b: Poly):
 
 
 def gcd_field(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field.
-
-    Over Q this is the primitive PRS in Z[x] (Brown 1971): each remainder is
-    the primitive part of a pseudo-remainder, so no fraction is formed until
-    the last nonzero one is made monic.
-    """
+    """Monic gcd over a field, by Euclid's algorithm.  Integral data take
+    ``_gcd_primitive_int`` in Z[x] instead."""
     if not a.ring.is_field:
         raise TypeError("gcd_field requires field coefficients")
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if a.ring is QQ:
-        g = _gcd_primitive_int(rational_poly_to_primitive(a)[1], rational_poly_to_primitive(b)[1])
-        return _monic_q(g)
     while not b.is_zero():
         a, b = b, poly_divmod(a, b)[1]
     return a.monic()
@@ -384,12 +374,6 @@ def _gcd_primitive_int(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, primitive_part_int(pseudo_rem(a, b))[1]
     return a
-
-
-def _monic_q(a: Poly) -> Poly:
-    """A nonzero Z-polynomial divided by its leading coefficient, over Q."""
-    lc = a.lc()
-    return Poly(QQ, [Fraction(c, lc) for c in a.coeffs])
 
 
 def content_int(a: Poly) -> int:
@@ -408,22 +392,6 @@ def primitive_part_int(a: Poly):
     if a.lc() < 0:
         c = -c
     return c, Poly(ZZ, [x // c for x in a.coeffs])
-
-
-def rational_poly_to_primitive(a: Poly):
-    """Write a QQ-polynomial as scale * primitive with primitive in Z[t],
-    positive leading coefficient.  Returns (scale: Fraction, primitive: Poly over ZZ)."""
-    if a.ring is not QQ:
-        raise TypeError("expected a QQ polynomial")
-    if a.is_zero():
-        return Fraction(0), Poly.zero(ZZ)
-    den = 1
-    for c in a.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in a.coeffs]
-    zp = Poly(ZZ, ints)
-    cont, prim = primitive_part_int(zp)
-    return Fraction(cont, den), prim
 
 
 # -- resultants ---------------------------------------------------------------
@@ -727,57 +695,50 @@ def _cubic_discriminant(R, e, c, b, a):
 
 
 def squarefree_part(f: Poly) -> Poly:
-    """Product of the irreducible factors with odd multiplicity (monic), over a field.
-
-    Matches exponent parity: f = prod q_i^{e_i}  ->  prod_{e_i odd} q_i.
-    """
-    R = f.ring
-    if not R.is_field:
-        raise TypeError("squarefree_part requires field coefficients")
-    if f.is_zero():
-        raise ValueError("squarefree part of zero polynomial")
-    if f.degree == 0:
-        return Poly.one(R)
-    out = Poly.one(R)
+    """Product of the squarefree factors of odd multiplicity:
+    f = prod q_i^{e_i}  ->  prod_{e_i odd} q_i.  Primitive with a positive
+    leading coefficient over Z, monic over a field."""
+    out = Poly.one(f.ring)
     for factor, mult in squarefree_decomposition(f):
         if mult % 2:
             out = out * factor
-    return out.monic()
+    return out
 
 
 def radical(f: Poly) -> Poly:
-    """Product of the distinct irreducible factors (monic), over a field."""
-    R = f.ring
-    out = Poly.one(R)
+    """Product of the distinct irreducible factors: primitive with a
+    positive leading coefficient over Z, monic over a field."""
+    out = Poly.one(f.ring)
     for factor, _ in squarefree_decomposition(f):
         out = out * factor
-    return out.monic()
+    return out
 
 
 def squarefree_decomposition(f: Poly):
-    """(squarefree factor, multiplicity) pairs with product f up to lc.
+    """(squarefree factor, multiplicity) pairs whose product is f up to a
+    constant.
 
     Musser's algorithm, in every characteristic: strip the multiplicities
     prime to the characteristic one level at a time, then recurse on the
     leftover p-th power part through the inverse Frobenius (in
     characteristic 0 nothing is left over).
 
-    Over Q the loop runs on the primitive part of f in Z[x] (Yun 1976;
-    Musser 1971): each gcd is ``_gcd_primitive_int``, the primitive PRS of
-    ``gcd_field``, and each division is exact in Z[x], raising
-    ArithmeticError on a nonzero remainder or a quotient coefficient that
-    is not an integer.  Every factor is primitive with a positive leading
-    coefficient, so no fraction is formed until the factors are made monic.
+    Over a field the loop runs on the monic f, and every factor is monic.
+    Over Z it runs on the primitive part of f (Yun 1976; Musser 1971): each
+    gcd is ``_gcd_primitive_int``, the primitive PRS, and each division is
+    exact in Z[x], raising ArithmeticError on a nonzero remainder or a
+    quotient coefficient that is not an integer.  By Gauss's lemma every
+    factor is then primitive with a positive leading coefficient, and their
+    product is the primitive part of f exactly.
 
-    The output is verified against f (over Q, the product of the factors
-    against the primitive part, in Z[x]), so a silent failure is
-    impossible.
+    The product of the factors is checked against that monic or primitive
+    f, so a silent failure is impossible.
     """
     R = f.ring
     if f.is_zero():
         raise ValueError("squarefree decomposition of the zero polynomial")
-    if R is QQ:
-        f = rational_poly_to_primitive(f)[1]
+    if R is ZZ:
+        f = primitive_part_int(f)[1]
         gcd, divexact = _gcd_primitive_int, PolyRing(ZZ).divexact
     else:
         f = f.monic()
@@ -798,13 +759,11 @@ def squarefree_decomposition(f: Poly):
         i += 1
     if c.degree > 0 and R.char:
         out.extend((g, m * R.char) for g, m in squarefree_decomposition(_pth_root(c)))
-    prod = Poly.one(f.ring)
+    prod = Poly.one(R)
     for h, m in out:
         prod = prod * h**m
-    if (prod if R is QQ else prod.monic()) != f:
+    if prod != f:
         raise ArithmeticError("squarefree decomposition inconsistency (multiplicity >= char?)")
-    if R is QQ:
-        out = [(_monic_q(h), m) for h, m in out]
     return out
 
 

@@ -2,8 +2,8 @@
 rational parameterizations of cyclic isogenies they are built from.
 
 Each :class:`FamilySpec` is pure data: the two Weierstrass models over Q[s],
-their closed-form discriminants and j-invariants, the substitution s(t)
-imposed by the Galois restriction, the twisted sextic family C_t, the
+their closed-form discriminants and j-invariants, the substitution s(t) in
+Z[t] imposed by the Galois restriction, the twisted sextic family C_t, the
 validity locus, the symbolic kappa/gamma identities, the printed denominators
 of the weighted difference polynomials, and the exceptional characteristic
 data.  Every fraction in the data is a (numerator, denominator) pair of
@@ -11,6 +11,11 @@ polynomials, and the identities are checked exactly by cross-multiplication
 over Q[s] and Z[t]: a/b = c/d in Q(s) exactly when a*d = b*c in Q[s].  The
 operations also evaluate the family at concrete parameter values over Q or
 a finite field.
+
+The table of X_0(N) parameterizations is integral: each row is a pair of
+coprime polynomials in Z[s] with a monic denominator, and it is built and
+read in Z[s].  Only the Weierstrass models are fractional (a2 = quart/4 for
+deg3 and deg7), so Q[s] holds those and their identity check alone.
 
 Each family is parameterized by the open set where ``validity_t`` is
 nonzero, and there C_t is a separable sextic of degree 6.  This is proved
@@ -34,13 +39,8 @@ from .exact.rings import QQ, ZZ
 # generators used throughout the data below
 _S = Poly.gen(QQ)  # s, coefficient parameter of the isogeny families
 _T = Poly.gen(ZZ)  # t, parameter of the sextic families (integer coefficients)
-_TQ = Poly.gen(QQ)  # t over Q, for substitutions with fractional scaling
 _RZT = PolyRing(ZZ)  # Z[t], coefficient ring of the family sextics
 _RQS = PolyRing(QQ)  # Q[s], coefficient ring of the family Weierstrass models
-
-
-def _quarter(c: int) -> Fraction:
-    return Fraction(c, 4)
 
 
 def _xpoly(*coeffs) -> Poly:
@@ -59,8 +59,8 @@ def _xpoly(*coeffs) -> Poly:
 
 @dataclass(frozen=True)
 class X0Param:
-    """j and j' as (numerator, denominator) pairs over Q[s], each in lowest
-    terms with a monic denominator."""
+    """j and j' as (numerator, denominator) pairs over Z[s], each coprime
+    with a monic denominator."""
 
     n: int
     j: tuple
@@ -69,7 +69,7 @@ class X0Param:
 
 @cache
 def _x0_table():
-    s = _S
+    s = Poly.gen(ZZ)
     rows = {
         1: ((s, 1), (s, 1)),
         2: (((s + 16) ** 3, s), ((s + 256) ** 3, s**2)),
@@ -298,8 +298,8 @@ def _x0_table():
     }
     out = {}
     for n, ((jn, jd), (jpn, jpd)) in rows.items():
-        jd = jd if isinstance(jd, Poly) else Poly.constant(QQ, Fraction(jd))
-        jpd = jpd if isinstance(jpd, Poly) else Poly.constant(QQ, Fraction(jpd))
+        jd = jd if isinstance(jd, Poly) else Poly.constant(ZZ, jd)
+        jpd = jpd if isinstance(jpd, Poly) else Poly.constant(ZZ, jpd)
         out[n] = X0Param(n, (jn, jd), (jpn, jpd))
     return out
 
@@ -357,7 +357,7 @@ class FamilySpec:
     delta_prime_s: Poly
     j_s: tuple  # (numerator, denominator) over Q[s], the family-local form
     j_prime_s: tuple
-    s_of_t: Poly  # substitution imposed by the Galois restriction, over Q[t]
+    s_of_t: Poly  # substitution imposed by the Galois restriction, over Z[t]
     validity_t: Poly  # over Z[t]; family defined where this is nonzero
     twist_t: Poly  # over Z[t]; left-hand coefficient of the C_t model
     sextic_factors: tuple  # x-polynomials with Z[t] coefficients; product = C_t RHS
@@ -391,7 +391,7 @@ def _build_howe2() -> FamilySpec:
         delta_prime_s=(2**18) * s**2 * (s + 1) ** 3,
         j_s=((64 * s + 16) ** 3, 64 * s),
         j_prime_s=((64 * s + 256) ** 3, 4096 * s**2),
-        s_of_t=_TQ**2,
+        s_of_t=t**2,
         validity_t=t * (t**2 - 1) * (t**2 + 1),
         twist_t=t + 1,
         sextic_factors=(
@@ -414,7 +414,7 @@ def _build_howe2() -> FamilySpec:
 
 def _build_deg3() -> FamilySpec:
     s, t = _S, _T
-    a2 = _quarter(1) * (s**2 + 18 * s - 27)
+    a2 = (s**2 + 18 * s - 27).scale(Fraction(1, 4))
     sext = _xpoly(
         -16 * t,
         0,
@@ -463,7 +463,7 @@ def _build_deg3() -> FamilySpec:
         delta_prime_s=s**3 * (s + 3) ** 6 * (s + 27) ** 2,
         j_s=((s + 27) * (s + 3) ** 3, s),
         j_prime_s=((s + 27) * (s + 243) ** 3, s**3),
-        s_of_t=_TQ**2,
+        s_of_t=t**2,
         validity_t=t
         * (t**2 + 27)
         * (t**2 + 243)
@@ -540,7 +540,7 @@ def _build_deg4() -> FamilySpec:
         delta_prime_s=(2**12) * s**7 * (s - 16) ** 4,
         j_s=((s**2 - 16 * s + 16) ** 3, s * (s - 16)),
         j_prime_s=((s**2 + 224 * s + 256) ** 3, s * (s - 16) ** 4),
-        s_of_t=16 * _TQ**2 + 16,
+        s_of_t=16 * t**2 + 16,
         # the factor t appears in the detailed nonvanishing condition but not
         # in the summary statement; it is included here
         validity_t=t
@@ -589,7 +589,7 @@ def _build_deg4() -> FamilySpec:
 def _build_deg7() -> FamilySpec:
     s, t = _S, _T
     quart = s**4 + 14 * s**3 + 63 * s**2 + 70 * s - 7
-    a2 = _quarter(1) * quart
+    a2 = quart.scale(Fraction(1, 4))
     bq = -(
         5 * s**7
         + 165 * s**6
@@ -707,7 +707,7 @@ def _build_deg7() -> FamilySpec:
         delta_prime_s=s**7 * (s**2 + 5 * s + 1) ** 6 * (s**2 + 13 * s + 49) ** 2,
         j_s=((s**2 + 13 * s + 49) * (s**2 + 5 * s + 1) ** 3, s),
         j_prime_s=((s**2 + 13 * s + 49) * (s**2 + 245 * s + 2401) ** 3, s**7),
-        s_of_t=_TQ**2,
+        s_of_t=t**2,
         validity_t=t
         * (t**4 + 13 * t**2 + 49)
         * (t**8 - 6 * t**6 + 43 * t**4 - 294 * t**2 + 2401)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from ..exact.poly import Poly, PolyRing, discriminant, poly_divmod
+from ..exact.poly import Poly, PolyRing, discriminant, primitive_part_int
 from ..exact.rings import QQ, ZZ, ExtField, PrimeField
 from ..exact.roots import splitting_field
 
@@ -358,20 +358,22 @@ def r_numerators(js, names) -> dict:
 def r_polynomials(spec) -> dict:
     """The weighted difference polynomials R2, R3, R5 (and, when the family
     supplies denominators for them, the generalized R23, R35, R25) of a
-    one-parameter family, in Q[t]: the numerators are built in Z[t], and each
-    printed denominator must divide its numerator exactly, else an error is
-    raised."""
+    one-parameter family, as primitive polynomials in Z[t] with a positive
+    leading coefficient: the primitive part of each numerator divided
+    exactly by the primitive part of its printed denominator.  By Gauss's
+    lemma that division succeeds exactly when the denominator divides the
+    numerator in Q[t]; otherwise an error is raised."""
     numerators = r_numerators(
         j_polynomials_of_sextic_family(spec.sextic_zt()), spec.r_denominators
     )
     out = {}
     for name, den in spec.r_denominators.items():
-        num = numerators[name].map_coeffs(QQ, Fraction)
-        denq = den.map_coeffs(QQ, Fraction)
-        q, r = poly_divmod(num, denq)
-        if not r.is_zero():
+        try:
+            out[name] = PolyRing(ZZ).divexact(
+                primitive_part_int(numerators[name])[1], primitive_part_int(den)[1]
+            )
+        except ArithmeticError:
             raise ArithmeticError(
                 f"{name} numerator not divisible by its printed denominator"
-            )
-        out[name] = q
+            ) from None
     return out

@@ -7,14 +7,20 @@ the only parameters where the restriction could hold.  This module stores
 those curves with their recorded rational points, recomputes the square
 condition from the j-invariant pair independently, and corroborates the
 recorded point lists by bounded search.
+
+The square condition is worked out in Z[x]: the X_0(N) rows and the
+records are integral, so each class modulo squares is a signed integer
+constant times a primitive squarefree polynomial, compared with the monic
+recorded curve as it stands.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact.poly import Poly, rational_poly_to_primitive, squarefree_part
-from .exact.rings import QQ, ZZ
+from .exact.integers import is_perfect_square
+from .exact.poly import Poly, primitive_part_int, squarefree_part
+from .exact.rings import ZZ
 from .ellcurve import AffinePoint, odd_degree_point_search
 from .families import x0_jpair
 
@@ -123,16 +129,16 @@ def _record(n: int) -> ObstructionRecord:
 # ---------------------------------------------------------------------------
 
 
-def _to_q(p):
-    return p.map_coeffs(QQ, Fraction)
-
-
-def _mod_squares_of_rational(num, den):
-    """num/den in Q(x) modulo squares, as a monic polynomial plus the
-    leftover rational constant; num and den are over Z, and so is their
-    product num * den, which has the same class modulo squares."""
-    prod = num * den
-    return squarefree_part(_to_q(prod)), Fraction(prod.lc())
+def _mod_squares(num, den):
+    """num/den in Q(x) modulo squares, for num and den over Z, as (c, S):
+    S is the product of the odd-multiplicity factors of the primitive parts
+    of num and den, primitive with a positive leading coefficient, and the
+    integer c is the signed contents of num and den times lc(S), so that
+    num/den is c S / lc(S) times a square."""
+    c_num, p_num = primitive_part_int(num)
+    c_den, p_den = primitive_part_int(den)
+    part = squarefree_part(p_num * p_den)
+    return c_num * c_den * part.lc(), part
 
 
 def square_condition_consistency(n: int) -> dict:
@@ -142,49 +148,45 @@ def square_condition_consistency(n: int) -> dict:
     A curve E with j-invariant j has discriminant (j - 1728) modulo squares,
     so the odd-degree condition "disc is a square" is y^2 = (j(s) - 1728)
     mod squares, and the even-degree condition is
-    y^2 = (j(s) - 1728)(j'(s) - 1728) mod squares.
+    y^2 = (j(s) - 1728)(j'(s) - 1728) mod squares.  With j = num/den,
+    j - 1728 = (num - 1728 den)/den.  The derived class is c S / lc(S) for
+    a primitive S and an integer c (``_mod_squares``).  It is the recorded
+    curve only if S is that curve and c is a square; for S the curve and c
+    not a square it is a quadratic twist of the curve, and the check fails.
     """
     rec = _record(n)
     param = x0_jpair(n)
-    j, jp = param.j, param.j_prime
-    c1728 = Fraction(1728)
 
     def shifted_mod_squares(pair):
         num, den = pair
-        _, num_z = rational_poly_to_primitive(num - den.scale(c1728))
-        _, den_z = rational_poly_to_primitive(den)
-        return _mod_squares_of_rational(num_z, den_z)
+        return _mod_squares(num - den.scale(1728), den)
 
-    poly1, c1 = shifted_mod_squares(j)
+    constant, derived = shifted_mod_squares(param.j)
     if rec.parity == "even":
-        poly2, c2 = shifted_mod_squares(jp)
-        derived = squarefree_part(poly1 * poly2)
-        constant = c1 * c2
-    else:
-        derived = poly1
-        constant = c1
+        c2, poly2 = shifted_mod_squares(param.j_prime)
+        derived = squarefree_part(derived * poly2)
+        constant *= c2
 
-    curve_q = _to_q(rec.curve).monic()
-    derived_matches_curve = derived == curve_q
+    derived_matches_curve = derived == rec.curve
+    derived_constant_is_square = is_perfect_square(constant)
 
-    delta_poly, _ = _mod_squares_of_rational(*rec.delta)
+    _, delta_poly = _mod_squares(*rec.delta)
     if rec.delta_prime is not None:
-        dp_poly, _ = _mod_squares_of_rational(*rec.delta_prime)
+        _, dp_poly = _mod_squares(*rec.delta_prime)
         delta_poly = squarefree_part(delta_poly * dp_poly)
-    delta_matches_curve = delta_poly == curve_q
-    x_delta_matches_curve = (
-        Poly.gen(QQ) * delta_poly
-    ).monic() == curve_q
+    delta_matches_curve = delta_poly == rec.curve
+    x_delta_matches_curve = _X * delta_poly == rec.curve
 
     return {
         "n": n,
         "parity": rec.parity,
         "derived_matches_curve": derived_matches_curve,
-        "derived_constant_is_square": QQ.is_square(constant),
+        "derived_constant_is_square": derived_constant_is_square,
         "delta_matches_curve": delta_matches_curve,
         "x_delta_matches_curve": x_delta_matches_curve,
         "delta_discrepancy": not delta_matches_curve,
         "pass": derived_matches_curve
+        and derived_constant_is_square
         and (delta_matches_curve or x_delta_matches_curve),
     }
 

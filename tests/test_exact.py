@@ -14,7 +14,6 @@ from jacpairs.exact.poly import (
     gcd_field,
     parity_split,
     poly_divmod,
-    rational_poly_to_primitive,
     resultant,
     resultant_sylvester,
     squarefree_decomposition,
@@ -322,7 +321,7 @@ class TestPoly:
         assert discriminant(Poly(F, [2, 0, 0, 1])) == 0
 
     def test_squarefree_decomposition_char_zero(self):
-        x = Poly.gen(QQ)
+        x = Poly.gen(ZZ)
         f = (x + 1) ** 3 * (x + 2) ** 2 * (x + 3)
         dec = dict(squarefree_decomposition(f))
         inv = {m: g for g, m in dec.items()}
@@ -340,14 +339,6 @@ class TestPoly:
         for g, m in dec:
             prod = prod * g**m
         assert prod == f
-
-    def test_rational_poly_to_primitive(self):
-        x = Poly.gen(QQ)
-        f = x.scale(Fraction(3, 4)) + Poly.constant(QQ, Fraction(9, 8))
-        scale, prim = rational_poly_to_primitive(f)
-        assert prim.ring is ZZ
-        assert prim == Poly.from_ints(ZZ, [3, 2])
-        assert scale == Fraction(3, 8)
 
 
 class TestRoots:

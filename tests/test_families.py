@@ -8,8 +8,8 @@ import pytest
 
 from jacpairs.exact.poly import (
     Poly,
+    _gcd_primitive_int,
     discriminant,
-    gcd_field,
     poly_divmod,
     primitive_part_int,
     radical,
@@ -108,12 +108,14 @@ class TestModularTable:
 
     def test_rows_in_lowest_terms(self):
         # the obstruction records read these numerators and denominators
-        # as stored, so each pair must be reduced with a monic denominator
+        # as stored, so each pair must be coprime over Z with a monic
+        # denominator
         for n in X0_DEGREES:
             param = x0_jpair(n)
             for num, den in (param.j, param.j_prime):
+                assert num.ring is ZZ and den.ring is ZZ, n
                 assert den.lc() == 1, n
-                assert gcd_field(num, den).degree == 0, n
+                assert _gcd_primitive_int(num, den).degree == 0, n
 
     def test_involution_degree_two(self):
         # j'_2(s) = j_2(4096/s): the dual parameterization is the
@@ -129,7 +131,7 @@ class TestModularTable:
 
 
 def _value(pair, s):
-    """num(s) / den(s) for a (numerator, denominator) pair over Q[s]."""
+    """num(s) / den(s) for a (numerator, denominator) pair over Z[s]."""
     num, den = pair
     return num.evaluate(s) / den.evaluate(s)
 
@@ -185,7 +187,7 @@ def _may_vanish_off_locus(spec):
         if (
             content == 0
             or content & (content - 1)
-            or not poly_divmod(validity, radical(prim.map_coeffs(QQ, Fraction)))[1].is_zero()
+            or not poly_divmod(validity, radical(prim).map_coeffs(QQ, Fraction))[1].is_zero()
         ):
             out.append(name)
     return out

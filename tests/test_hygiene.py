@@ -115,20 +115,23 @@ def test_benchmark_trace_targets_exist():
 
 
 def test_benchmark_selftest_imports_exist():
-    tree = ast.parse((ROOT / "bench" / "selftest.py").read_text())
-    imports = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jacpairs"
-        for alias in node.names
-    ]
-    assert imports
-    missing = [
-        f"{module}.{name}"
-        for module, name in imports
-        if not hasattr(importlib.import_module(module), name)
-    ]
-    assert not missing, f"names bench/selftest.py imports are missing: {missing}"
+    """``bench/selftest.py`` and ``tools/bench.py`` import these inside
+    functions: a removed one breaks them only when they run."""
+    for script in (ROOT / "bench" / "selftest.py", ROOT / "tools" / "bench.py"):
+        tree = ast.parse(script.read_text())
+        imports = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jacpairs"
+            for alias in node.names
+        ]
+        assert imports, script
+        missing = [
+            f"{module}.{name}"
+            for module, name in imports
+            if not hasattr(importlib.import_module(module), name)
+        ]
+        assert not missing, f"names {script.relative_to(ROOT)} imports are missing: {missing}"
 
 
 def _imported_modules(path, tree):

@@ -3,11 +3,12 @@ root-difference oracle, invariance laws, weighted equality semantics."""
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from jacpairs.exact.integers import is_prime
-from jacpairs.exact.poly import Poly, discriminant
+from jacpairs.exact.poly import Poly, discriminant, poly_divmod, primitive_part_int
 from jacpairs.exact.rings import GF, QQ, ZZ, GFext
 from jacpairs.igusa import invariants
 from jacpairs.families import FAMILY_IDS, eval_poly, family_sextic, family_spec
@@ -279,6 +280,24 @@ class TestFamilyJPolynomials:
 R_NAMES = ("R2", "R3", "R5", "R23", "R35", "R25")
 
 
+def _z_primitive(f):
+    """The primitive part in Z[t], with a positive leading coefficient, of
+    a polynomial over Q."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return primitive_part_int(Poly(ZZ, [int(c * den) for c in f.coeffs]))[1]
+
+
+def _fraction_r_polynomial(spec, name):
+    """The earlier Q[t] route, kept as the reference: the numerator divided
+    by its printed denominator by long division over Q."""
+    num = r_numerators(j_polynomials_of_sextic_family(spec.sextic_zt()), (name,))[name]
+    q, r = poly_divmod(
+        num.map_coeffs(QQ, Fraction), spec.r_denominators[name].map_coeffs(QQ, Fraction)
+    )
+    assert r.is_zero()
+    return q
+
+
 class TestWeightedDifferences:
     @pytest.mark.parametrize(
         "fid,p", [("deg3", 13), ("deg3", 7919), ("deg4", 23), ("deg4", 1009),
@@ -333,3 +352,14 @@ class TestWeightedDifferences:
         wrong = dataclasses.replace(spec, r_denominators=dens)
         with pytest.raises(ArithmeticError, match=f"{name} numerator not divisible"):
             r_polynomials(wrong)
+
+    @pytest.mark.parametrize(
+        "fid,name",
+        [(fid, name) for fid in ("deg3", "deg4", "deg7")
+         for name in family_spec(fid).r_denominators],
+    )
+    def test_z_route_is_the_primitive_part_of_the_q_quotient(self, fid, name):
+        spec = family_spec(fid)
+        r = r_polynomials(spec)[name]
+        assert r.ring is ZZ and r == primitive_part_int(r)[1]
+        assert r == _z_primitive(_fraction_r_polynomial(spec, name))

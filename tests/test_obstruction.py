@@ -1,6 +1,7 @@
 """Tests for the higher-degree obstruction records."""
+from dataclasses import replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -9,7 +10,13 @@ import jacpairs.exact.poly as poly
 import jacpairs.obstruction as obstruction
 from jacpairs.ellcurve import AffinePoint, odd_degree_point_search
 from jacpairs.exact.integers import is_perfect_square
-from jacpairs.exact.poly import Poly, gcd_field, poly_divmod, squarefree_decomposition
+from jacpairs.exact.poly import (
+    Poly,
+    gcd_field,
+    poly_divmod,
+    primitive_part_int,
+    squarefree_decomposition,
+)
 from jacpairs.exact.rings import QQ, ZZ
 from jacpairs.obstruction import (
     OBSTRUCTION_DEGREES,
@@ -55,6 +62,20 @@ class TestSquareCondition:
                 continue
             rep = square_condition_consistency(n)
             assert rep["delta_matches_curve"], n
+
+    @pytest.mark.parametrize("c,passes", [(2, False), (-1, False), (4, True)])
+    def test_twisted_row_fails_unless_the_twist_is_a_square(self, monkeypatch, c, passes):
+        # j -> c (j - 1728) + 1728 on the X_0(5) row multiplies j - 1728 by
+        # c, so the derived class is c times O_5: a quadratic twist of the
+        # recorded curve unless c is a square
+        row = obstruction.x0_jpair(5)
+        num, den = row.j
+        twisted = replace(row, j=(num.scale(c) + den.scale(1728 * (1 - c)), den))
+        monkeypatch.setattr(obstruction, "x0_jpair", lambda n: twisted)
+        rep = square_condition_consistency(5)
+        assert rep["derived_matches_curve"], rep
+        assert rep["derived_constant_is_square"] is passes, rep
+        assert rep["pass"] is passes, rep
 
 
 class TestPoints:
@@ -204,8 +225,9 @@ def _fraction_squarefree_decomposition(f):
 
 def _square_condition_inputs(monkeypatch):
     """Every polynomial that ``square_condition_consistency`` hands to
-    ``squarefree_part`` over the ten recorded degrees: the shifted j's and
-    record deltas (num * den) and their products."""
+    ``squarefree_part`` over the ten recorded degrees, all over Z: the
+    primitive parts of the shifted j's and record deltas (num * den) and
+    their products."""
     seen = []
     real = obstruction.squarefree_part
 
@@ -224,13 +246,31 @@ def _q(*coeffs):
     return Poly(QQ, [Fraction(c) for c in coeffs])
 
 
+def _z_primitive(f):
+    """The primitive part in Z[x], with a positive leading coefficient, of
+    a polynomial over Q."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return primitive_part_int(Poly(ZZ, [int(c * den) for c in f.coeffs]))[1]
+
+
+def _monic_over_q(parts):
+    """Squarefree factors over Z, each made monic over Q."""
+    return [(Poly(QQ, [Fraction(c, g.lc()) for c in g.coeffs]), m) for g, m in parts]
+
+
 class TestSquarefreeOverQ:
+    """The squarefree decomposition over Z of a primitive part, made monic,
+    against the Q[x] route on the polynomial it came from."""
+
     def test_square_condition_inputs_match_the_q_route(self, monkeypatch):
         inputs = _square_condition_inputs(monkeypatch)
         assert len(inputs) >= 3 * len(OBSTRUCTION_DEGREES)
         assert max(f.degree for f in inputs) >= 20
         for f in inputs:
-            assert squarefree_decomposition(f) == _fraction_squarefree_decomposition(f)
+            assert f.ring is ZZ
+            parts = squarefree_decomposition(f)
+            expected = _fraction_squarefree_decomposition(f.map_coeffs(QQ, Fraction))
+            assert _monic_over_q(parts) == expected
 
     @pytest.mark.parametrize(
         "f",
@@ -243,12 +283,12 @@ class TestSquarefreeOverQ:
         ],
     )
     def test_non_integral_input_matches_the_q_route(self, f):
-        parts = squarefree_decomposition(f)
-        assert parts == _fraction_squarefree_decomposition(f)
-        assert all(type(c) is Fraction for g, _ in parts for c in g.coeffs)
+        parts = squarefree_decomposition(_z_primitive(f))
+        assert _monic_over_q(parts) == _fraction_squarefree_decomposition(f)
+        assert all(g == primitive_part_int(g)[1] for g, _ in parts)
 
     def test_corrupted_exact_division_raises(self, monkeypatch):
-        f = _q(Fraction(-3, 2)) * _q(Fraction(-1, 2), 1) ** 2 * _q(3, 0, 1) ** 3
+        f = _z_primitive(_q(Fraction(-3, 2)) * _q(Fraction(-1, 2), 1) ** 2 * _q(3, 0, 1) ** 3)
         real = poly.poly_divmod
 
         def corrupted(a, b):

@@ -2,8 +2,9 @@
 against Fermat's inverse; roots against a brute-force search; factorizations
 against the product of the factors; the squarefree decomposition over Q,
 GF(3) and GF(5) against the multiplicities a polynomial was built with; the
-integer resultant against the Sylvester determinant; the gcd over Q against
-Euclid on ``Fraction`` coefficients; the ring axioms of GF(p^m) and its
+integer resultant against the Sylvester determinant; the primitive gcd in
+Z[x] of polynomials over Q, made monic, against Euclid on ``Fraction``
+coefficients; the ring axioms of GF(p^m) and its
 product against ``Poly`` arithmetic modulo the modulus; canonical
 results of polynomial arithmetic; long division by a non-unit leading
 coefficient over Z and Z[t] against the quotient and remainder it was built
@@ -19,6 +20,7 @@ A(x^2), B(x^2) against the square of the resultant of A and B.
 ``derandomize=True`` draws the same inputs on every run."""
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,10 +29,12 @@ from hypothesis import strategies as st
 from jacpairs.exact.poly import (
     Poly,
     PolyRing,
+    _gcd_primitive_int,
     discriminant,
     gcd_field,
     parity_split,
     poly_divmod,
+    primitive_part_int,
     resultant,
     resultant_sylvester,
     squarefree_decomposition,
@@ -301,6 +305,13 @@ def rational_gcd_pairs(draw):
     return a, b
 
 
+def _z_primitive(f):
+    """The primitive part in Z[x], with a positive leading coefficient, of
+    a polynomial over Q."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return primitive_part_int(Poly(ZZ, [int(c * den) for c in f.coeffs]))[1]
+
+
 def _euclid_over_fractions(a, b):
     """The monic gcd by Euclid on lists of Fraction coefficients, low to high."""
     a, b = list(a.coeffs), list(b.coeffs)
@@ -321,10 +332,11 @@ def _euclid_over_fractions(a, b):
 @example((Poly(QQ, [Fraction(3, 2), Fraction(3)]), Poly(QQ, [Fraction(-4, 7), Fraction(-8, 7)])))
 def test_rational_gcd_is_euclid_over_fractions(pair):
     a, b = pair
-    g = gcd_field(a, b)
-    assert list(g.coeffs) == _euclid_over_fractions(a, b)
-    assert g.lc() == 1 and all(type(c) is Fraction for c in g.coeffs)
-    assert poly_divmod(a, g)[1].is_zero() and poly_divmod(b, g)[1].is_zero()
+    g = _gcd_primitive_int(_z_primitive(a), _z_primitive(b))
+    assert g == primitive_part_int(g)[1]
+    monic = Poly(QQ, [Fraction(c, g.lc()) for c in g.coeffs])
+    assert list(monic.coeffs) == _euclid_over_fractions(a, b)
+    assert poly_divmod(a, monic)[1].is_zero() and poly_divmod(b, monic)[1].is_zero()
 
 
 @st.composite

@@ -69,21 +69,22 @@ def _layer_cases():
     import random
     from fractions import Fraction
     from itertools import permutations
+    from math import lcm
 
     from jacpairs.distinct import charp_analysis
     from jacpairs.ellcurve import odd_degree_point_search
-    from jacpairs.exact.poly import Poly, rational_poly_to_primitive, resultant, squarefree_part
-    from jacpairs.exact.rings import GF, QQ, ZZ, GFext, _default_modulus
+    from jacpairs.exact.poly import Poly, primitive_part_int, resultant
+    from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
     from jacpairs.exact.roots import (
         distinct_degree_factorization,
         irreducible_factors,
         roots,
         splitting_field,
     )
-    from jacpairs.families import eval_poly, family_spec, weierstrass_at, x0_jpair
+    from jacpairs.families import _x0_table, eval_poly, family_spec, weierstrass_at
     from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
     from jacpairs.igusa.invariants import igusa_vector, r_polynomials
-    from jacpairs.obstruction import RECORDS
+    from jacpairs.obstruction import RECORDS, square_condition_consistency
 
     rng = random.Random(20261019)
     p = 7919
@@ -103,6 +104,12 @@ def _layer_cases():
     for c in range(1, 11):
         linear_10 = linear_10 * (x - c)
 
+    def primitive(f):
+        """The primitive part in Z[t] of f over Q[t] or Z[t]: r_polynomials
+        returns either, depending on the checkout."""
+        den = lcm(*(Fraction(c).denominator for c in f.coeffs))
+        return primitive_part_int(Poly(ZZ, [int(c * den) for c in f.coeffs]))[1]
+
     def int_poly(deg, digits):
         return Poly(ZZ, [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(deg + 1)])
 
@@ -115,9 +122,7 @@ def _layer_cases():
     wide_a, wide_b = int_poly(120, 20), int_poly(80, 20)
     # prime_support takes its resultants on the halves A of the even A(t^2)
     r_deg7 = r_polynomials(family_spec("deg7"))
-    r2, r5 = (
-        Poly(ZZ, rational_poly_to_primitive(r_deg7[name])[1].coeffs[::2]) for name in ("R2", "R5")
-    )
+    r2, r5 = (Poly(ZZ, primitive(r_deg7[name]).coeffs[::2]) for name in ("R2", "R5"))
 
     # glue_p10 on the first pairing that glues, for howe2 at p = 1009, t = 5
     spec = family_spec("howe2")
@@ -136,14 +141,8 @@ def _layer_cases():
     else:
         raise RuntimeError("no pairing glues")
     deg3, deg4, deg7 = (family_spec(fid) for fid in ("deg3", "deg4", "deg7"))
-    # drawn after every input above: the obstruction curve O_5, and the
-    # (j - 1728) num * den of X_0(18) that the square condition reduces
+    # drawn after every input above: the obstruction curve O_5
     o5 = RECORDS[5].curve
-    j_num, j_den = x0_jpair(18).j
-    shifted, den = (
-        rational_poly_to_primitive(f)[1] for f in (j_num - j_den.scale(Fraction(1728)), j_den)
-    )
-    j18 = (shifted * den).map_coeffs(QQ, Fraction)
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -172,7 +171,9 @@ def _layer_cases():
         "charp_analysis[deg7@571603]": lambda: charp_analysis(deg7, 571603),
         "charp_analysis[deg4@23]": lambda: charp_analysis(deg4, 23),
         "odd_degree_point_search[O_5, bound 1000]": lambda: odd_degree_point_search(o5, 1000),
-        "squarefree_part[Q, X_0(18) (j - 1728) num*den]": lambda: squarefree_part(j18),
+        "square_condition_consistency[18]": lambda: square_condition_consistency(18),
+        "r_polynomials[deg4]": lambda: r_polynomials(deg4),
+        "x0_table[uncached]": lambda: _x0_table.__wrapped__(),
     }
 
 
