@@ -28,7 +28,10 @@ def _emit(args, payload: dict):
 
 
 def _parse_scalar(F, text: str):
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--t {text} has a zero denominator") from None
     if F is QQ:
         return frac
     if frac.denominator % F.p == 0:
@@ -158,17 +161,17 @@ def _reproduce_checks():
     checks.append(("resultant prime supports", supports))
 
     def charp():
-        cases = [
-            ("deg3", (7, 11, 13, 17)),
-            ("deg4", (11, 23, 37, 47)),
-            ("deg7", (7, 13, 17, 19, 41, 167, 571603)),
-            ("howe2", (11,)),
-        ]
+        # each printed prime > 5 and each recorded exceptional p, and for
+        # deg3 the two primes 7 and 11 outside its support, where the locus
+        # must come out empty
         ok = True
         detail = {}
-        for fid, ps in cases:
+        for fid in sorted(FAMILY_IDS):
             spec = family_spec(fid)
-            for p in ps:
+            ps = {p for p in spec.printed_primes if p > 5} | {e.p for e in spec.exceptional}
+            if fid == "deg3":
+                ps |= {7, 11}
+            for p in sorted(ps):
                 rep = distinct.charp_analysis(spec, p)
                 detail[f"{fid}@{p}"] = rep["locus"] if rep["locus_degree"] else "1"
                 ok = ok and rep["pass"]

@@ -12,7 +12,6 @@ and can exhaustively scan all valid parameters over F_p or F_{p^2}.
 """
 from __future__ import annotations
 
-from functools import partial
 from math import gcd as int_gcd
 
 from .exact.poly import (
@@ -26,7 +25,7 @@ from .exact.poly import (
 from .exact.integers import trial_division
 from .exact.rings import GF, GFext
 from .exact.roots import irreducible_factors, roots, splitting_field
-from .families import FamilySpec, curve_pair, scalar_in
+from .families import FamilySpec, curve_pair
 from .igusa.invariants import (
     igusa_vector,
     j_polynomials_of_sextic_family,
@@ -115,7 +114,7 @@ def _base_factors(spec, F):
     t_is_base = False
     base = {}
     for poly in polys:
-        red = poly.map_coeffs(F, partial(scalar_in, F))
+        red = poly.map_coeffs(F, F.from_int)
         if red.is_zero():
             continue
         k, half = parity_split(red)
@@ -147,7 +146,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     if p <= 5:
         raise ValueError("p > 5 required")
     F = GF(p)
-    js = j_polynomials_of_sextic_family(spec.sextic_zt())
+    js = j_polynomials_of_sextic_family(spec.sextic)
     js = [j.map_coeffs(F, F.from_int) for j in js]
     triple = _BASE_TRIPLE
     j2_gcd = gcd_field(js[0], js[0].substitute_neg())
@@ -182,7 +181,7 @@ def charp_analysis(spec: FamilySpec, p: int) -> dict:
     expected = Poly.one(F)
     if exc is not None:
         for fac in exc.locus_factors:
-            expected = expected * fac.map_coeffs(F, partial(scalar_in, F)).monic()
+            expected = expected * fac.map_coeffs(F, F.from_int).monic()
     locus_match = locus == expected
 
     verification = []
@@ -212,7 +211,7 @@ def _verify_locus_factor(spec, F, fac, exc):
     ok = len(rts) == d
     rep_vector = None
     if exc.representative is not None:
-        rep_vector = igusa_vector(exc.representative.map_coeffs(K, partial(scalar_in, K)))
+        rep_vector = igusa_vector(exc.representative.map_coeffs(K, K.from_int))
     for t0 in rts:
         pair = curve_pair(spec, K, t0)
         if pair is None:
@@ -250,7 +249,7 @@ def full_scan(spec: FamilySpec, p: int, extension_degree: int = 1) -> dict:
     locus_roots = set()
     if exc is not None:
         for fac in exc.locus_factors:
-            red = fac.map_coeffs(F, partial(scalar_in, F))
+            red = fac.map_coeffs(F, F.from_int)
             for r in roots(red, K):
                 locus_roots.add(K.to_str(r))
 

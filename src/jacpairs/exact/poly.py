@@ -418,49 +418,37 @@ def _resultant_field_euclid(a: Poly, b: Poly):
     return res
 
 
-def _resultant_subresultant(a: Poly, b: Poly):
-    """Fraction-free subresultant PRS resultant over an integral domain
-    (Collins 1967; Brown-Traub 1971): each remainder is the pseudo-remainder
-    divided exactly by g h^delta.
+def _resultant_subresultant(a: Poly, b: Poly) -> int:
+    """Fraction-free subresultant PRS resultant over Z (Collins 1967;
+    Brown-Traub 1971): each remainder is the pseudo-remainder divided
+    exactly by g h^delta.
 
-    Over Z that division is 2-adic (Jebelean 1993, ``_prem_quotient_int``):
+    That division is 2-adic (Jebelean 1993, ``_prem_quotient_int``):
     neither the pseudo-remainder nor a division remainder is ever formed, so
     instead of a remainder test the value is checked against the resultant
     over GF(q) of the operands reduced mod a prime q near 2^61
-    (``_check_mod_q``), and a disagreement raises ArithmeticError.  Over
-    Z[t] each coefficient of the pseudo-remainder is divided by
-    ``divexact``, which raises on a nonzero remainder."""
-    R = a.ring
+    (``_check_mod_q``), and a disagreement raises ArithmeticError."""
     operands = (a, b)
     sign = 1
     if a.degree < b.degree:
         if (a.degree % 2) and (b.degree % 2):
             sign = -sign
         a, b = b, a
-    g = R.one
-    h = R.one
+    g = h = 1
     while b.degree > 0:
         delta = a.degree - b.degree
         if (a.degree % 2) and (b.degree % 2):
             sign = -sign
-        denom = R.mul(g, ring_pow(R, h, delta))
-        if R is ZZ:
-            r = _prem_quotient_int(a, b, denom)
-        else:
-            r = Poly(R, [R.divexact(c, denom) for c in pseudo_rem(a, b).coeffs])
-        a, b = b, r
+        a, b = b, _prem_quotient_int(a, b, g * h**delta)
         g = a.lc()
         if delta > 0:
-            h = R.divexact(ring_pow(R, g, delta), ring_pow(R, h, delta - 1))
+            h = ZZ.divexact(g**delta, h ** (delta - 1))
     if b.is_zero():
-        res = R.zero
+        res = 0
     else:
         d = a.degree
-        res = R.divexact(ring_pow(R, b.lc(), d), ring_pow(R, h, d - 1))
-        if sign < 0:
-            res = R.neg(res)
-    if R is ZZ:
-        _check_mod_q(*operands, res)
+        res = sign * ZZ.divexact(b.lc() ** d, h ** (d - 1))
+    _check_mod_q(*operands, res)
     return res
 
 
@@ -579,7 +567,7 @@ def _check_mod_q(a: Poly, b: Poly, res: int):
 
 
 def resultant(a: Poly, b: Poly):
-    """Resultant of a and b over their coefficient ring.
+    """Resultant of a and b over their coefficient ring, a field or ZZ.
 
     Equals the determinant of the Sylvester matrix; zero iff a and b share
     a root in an algebraic closure of the fraction field.
@@ -587,6 +575,8 @@ def resultant(a: Poly, b: Poly):
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     R = a.ring
+    if not (R.is_field or R is ZZ):
+        raise TypeError(f"resultant over {R!r}: the coefficients must lie in a field or ZZ")
     if a.degree == 0 and b.degree == 0:
         return R.one
     if a.degree == 0:
@@ -656,7 +646,8 @@ def discriminant(f: Poly):
 
     Both are identities over Z, so they hold in every characteristic.  The
     elliptic curves are cubics, and the sextics of the families and of the
-    gluing are even.  Other shapes take the resultant; where the
+    gluing are even.  Other shapes take the resultant, or over a ring that
+    ``resultant`` refuses (such as Z[t]) the Sylvester determinant; where the
     characteristic lowers the degree of f' to e < d - 1, the resultant at
     that degree is multiplied by lc(f)^(d - 1 - e).
     """
@@ -674,7 +665,7 @@ def discriminant(f: Poly):
     fp = f.derivative()
     if fp.is_zero():
         return R.zero
-    res = resultant(f, fp)
+    res = (resultant if R.is_field or R is ZZ else resultant_sylvester)(f, fp)
     res = R.divexact(res, f.lc())
     if fp.degree < d - 1:
         res = R.mul(res, ring_pow(R, f.lc(), d - 1 - fp.degree))

@@ -3,14 +3,14 @@ rational parameterizations of cyclic isogenies they are built from.
 
 Each :class:`FamilySpec` is pure data: the two Weierstrass models over Q[s],
 their closed-form discriminants and j-invariants, the substitution s(t) in
-Z[t] imposed by the Galois restriction, the twisted sextic family C_t, the
-validity locus, the symbolic kappa/gamma identities, the printed denominators
-of the weighted difference polynomials, and the exceptional characteristic
-data.  Every fraction in the data is a (numerator, denominator) pair of
-polynomials, and the identities are checked exactly by cross-multiplication
-over Q[s] and Z[t]: a/b = c/d in Q(s) exactly when a*d = b*c in Q[s].  The
-operations also evaluate the family at concrete parameter values over Q or
-a finite field.
+Z[t] imposed by the Galois restriction, the twisted sextic family C_t as one
+polynomial in x over Z[t] (``FamilySpec.sextic``), the validity locus, the
+symbolic kappa/gamma identities, the printed denominators of the weighted
+difference polynomials, and the exceptional characteristic data.  Every
+fraction in the data is a (numerator, denominator) pair of polynomials, and
+the identities are checked exactly by cross-multiplication over Q[s] and
+Z[t]: a/b = c/d in Q(s) exactly when a*d = b*c in Q[s].  The operations also
+evaluate the family at concrete parameter values over Q or a finite field.
 
 The table of X_0(N) parameterizations is integral: each row is a pair of
 coprime polynomials in Z[s] with a monic denominator, and it is built and
@@ -24,7 +24,11 @@ and disc(C_t) are each 2^k times a primitive P whose radical divides
 ``validity_t`` in Z[t] (Gauss's lemma), so a root of P in any field is a
 root of ``validity_t``.  Every field the package builds is Q or GF(p^m)
 with p odd, where 2 is a unit, so the curves are built without checking
-degree or separability again.
+degree or separability again.  A curve is specialized in one pass, each
+Z[t] coefficient of the sextic evaluated at t by Horner's rule.  Every
+``validity_t`` is odd in t (``TestValidityParity``), so t lies on the locus
+exactly when -t does, and ``curve_pair`` evaluates it once for the pair
+C_t, C_{-t}.
 """
 from __future__ import annotations
 
@@ -360,7 +364,7 @@ class FamilySpec:
     s_of_t: Poly  # substitution imposed by the Galois restriction, over Z[t]
     validity_t: Poly  # over Z[t]; family defined where this is nonzero
     twist_t: Poly  # over Z[t]; left-hand coefficient of the C_t model
-    sextic_factors: tuple  # x-polynomials with Z[t] coefficients; product = C_t RHS
+    sextic: Poly  # x-polynomial over Z[t], the right-hand side of C_t
     kappa_halves: tuple | None  # (plain, tilde) KappaHalf, or None
     r_denominators: dict  # name -> Z[t] denominator of the weighted differences
     printed_primes: tuple  # characteristics dividing the resultant gcd
@@ -371,13 +375,6 @@ class FamilySpec:
         """The isogeny degree's parity, "odd" or "even"; the benchmark keys
         its case quotas by it."""
         return "odd" if self.isogeny_degree % 2 else "even"
-
-    def sextic_zt(self) -> Poly:
-        """The family sextic as a single polynomial in x over Z[t]."""
-        out = Poly.one(_RZT)
-        for f in self.sextic_factors:
-            out = out * f
-        return out
 
 
 def _build_howe2() -> FamilySpec:
@@ -394,10 +391,7 @@ def _build_howe2() -> FamilySpec:
         s_of_t=t**2,
         validity_t=t * (t**2 - 1) * (t**2 + 1),
         twist_t=t + 1,
-        sextic_factors=(
-            _xpoly(-t, 0, 2),
-            _xpoly(1, 0, 4 * (t**2 + t + 1), 0, 4 * t**2),
-        ),
+        sextic=_xpoly(-t, 0, 2) * _xpoly(1, 0, 4 * (t**2 + t + 1), 0, 4 * t**2),
         kappa_halves=None,
         r_denominators={},
         printed_primes=(),
@@ -470,7 +464,7 @@ def _build_deg3() -> FamilySpec:
         * (t**2 + 3)
         * (t**4 - 10 * t**2 + 729),
         twist_t=(t**2 + 27) * (t**2 - 8 * t + 27),
-        sextic_factors=(sext,),
+        sextic=sext,
         kappa_halves=(plain, tilde),
         r_denominators={
             "R2": t * (t**2 + 27) ** 3 * tail,
@@ -550,10 +544,7 @@ def _build_deg4() -> FamilySpec:
         * (t**2 - 1)
         * (t**4 + t**2 + 1),
         twist_t=(t**2 + 1) * (t**2 - t + 1) * (t - 1),
-        sextic_factors=(
-            _xpoly(t, 0, 4),
-            _xpoly(1, 0, -sigma, 0, 16 * t**4),
-        ),
+        sextic=_xpoly(t, 0, 4) * _xpoly(1, 0, -sigma, 0, 16 * t**4),
         kappa_halves=(plain, tilde),
         r_denominators={
             "R2": t * tail,
@@ -715,7 +706,7 @@ def _build_deg7() -> FamilySpec:
         * (t**2 + 7)
         * (t**4 + 245 * t**2 + 2401),
         twist_t=(t**4 + 5 * t**2 + 1) * (t**2 - 5 * t + 7) * (t**2 - 3 * t + 7),
-        sextic_factors=(sext,),
+        sextic=sext,
         kappa_halves=(plain, tilde),
         r_denominators={
             "R2": t * (t**4 + 13 * t**2 + 49) ** 2 * tail,
@@ -783,19 +774,19 @@ def eval_poly(poly: Poly, field, value):
     acc = field.zero
     for c in reversed(poly.coeffs):
         acc = field.mul(acc, value)
-        acc = field.add(acc, scalar_in(field, c))
+        acc = field.add(acc, _scalar_in(field, c))
     return acc
 
 
-def scalar_in(field, c):
-    """The int or Fraction c as an element of the field."""
+def _scalar_in(field, c):
+    """The int or Fraction c as an element of the field; only the Q[s]
+    Weierstrass models carry Fractions."""
     if isinstance(c, int):
         return field.from_int(c)
-    fr = Fraction(c)
-    num = field.from_int(fr.numerator)
-    if fr.denominator == 1:
+    num = field.from_int(c.numerator)
+    if c.denominator == 1:
         return num
-    return field.div(num, field.from_int(fr.denominator))
+    return field.div(num, field.from_int(c.denominator))
 
 
 def weierstrass_at(spec: FamilySpec, field, s_value, prime: bool = False):
@@ -807,12 +798,9 @@ def weierstrass_at(spec: FamilySpec, field, s_value, prime: bool = False):
 
 
 def _sextic_at(spec: FamilySpec, field, t_value) -> Poly:
-    """The product of the sextic factors, with their Z[t] coefficients
-    evaluated at t."""
-    sextic = Poly.one(field)
-    for fac in spec.sextic_factors:
-        sextic = sextic * Poly(field, [eval_poly(c, field, t_value) for c in fac.coeffs])
-    return sextic
+    """The sextic of C_t over the field: each Z[t] coefficient of
+    ``spec.sextic`` evaluated at t."""
+    return Poly(field, [eval_poly(c, field, t_value) for c in spec.sextic.coeffs])
 
 
 def family_sextic(spec: FamilySpec, field, t_value):
@@ -826,17 +814,14 @@ def family_sextic(spec: FamilySpec, field, t_value):
 
 
 def curve_pair(spec: FamilySpec, field, t_value):
-    """The sextics of C_t and C_{-t} over the field, or None when t or -t
-    lies on the validity locus, so that t is not a parameter of the pair.
-    Otherwise both are separable of degree 6, as ``TestValidityLocus`` in
+    """The sextics of C_t and C_{-t} over the field, or None when t lies on
+    the validity locus, so that t is not a parameter of the pair; -t lies
+    on it exactly when t does, since ``validity_t`` is odd.  Otherwise both
+    are separable of degree 6, as ``TestValidityLocus`` in
     tests/test_families.py proves over Z[t]."""
-    minus_t = field.neg(t_value)
-    validity = field.mul(
-        eval_poly(spec.validity_t, field, t_value), eval_poly(spec.validity_t, field, minus_t)
-    )
-    if field.is_zero(validity):
+    if field.is_zero(eval_poly(spec.validity_t, field, t_value)):
         return None
-    return _sextic_at(spec, field, t_value), _sextic_at(spec, field, minus_t)
+    return _sextic_at(spec, field, t_value), _sextic_at(spec, field, field.neg(t_value))
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +855,6 @@ def symbolic_kappa_check(spec: FamilySpec) -> dict:
     kn kc pd (e3 x^6 - e2 x^4 + e1 x^2 - e_den) == pn kd e_den C(+-t)."""
     if spec.kappa_halves is None:
         raise ValueError(f"family {spec.id} carries no symbolic kappa data")
-    sextic = spec.sextic_zt()
     report = {}
     for name, half, negate in (
         ("plain", spec.kappa_halves[0], False),
@@ -878,9 +862,9 @@ def symbolic_kappa_check(spec: FamilySpec) -> dict:
     ):
         (kn, kd), (pn, pd) = half.kappa, half.prefactor
         assembled = _xpoly(-half.e_den, 0, half.e1, 0, -half.e2, 0, half.e3)
-        target = sextic
+        target = spec.sextic
         if negate:
-            target = Poly(_RZT, [c.substitute_neg() for c in sextic.coeffs])
+            target = Poly(_RZT, [c.substitute_neg() for c in target.coeffs])
         left = assembled.scale(kn * half.kappa_correction * pd)
         report[name] = left == target.scale(pn * kd * half.e_den)
     report["pass"] = all(report[k] for k in ("plain", "tilde"))

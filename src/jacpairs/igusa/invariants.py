@@ -315,14 +315,14 @@ def weighted_equal(u, v, R, geometric: bool = False) -> bool:
 
 
 @cache
-def j_polynomials_of_sextic_family(sextic_zt) -> tuple:
+def j_polynomials_of_sextic_family(sextic) -> tuple:
     """Scaled J's of a one-parameter sextic with Z[t] coefficients, as
     polynomials in Z[t], computed once per sextic; ``ArithmeticError`` if
     one of them has a coefficient that is not an integer."""
-    R = sextic_zt.ring
+    R = sextic.ring
     if not (isinstance(R, PolyRing) and R.base is ZZ):
         raise TypeError("expected a sextic with Z[t] coefficients")
-    ic = igusa_clebsch(sextic_zt)
+    ic = igusa_clebsch(sextic)
     try:
         return igusa_j(ic, R)
     except ArithmeticError as exc:
@@ -363,9 +363,7 @@ def r_polynomials(spec) -> dict:
     exactly by the primitive part of its printed denominator.  By Gauss's
     lemma that division succeeds exactly when the denominator divides the
     numerator in Q[t]; otherwise an error is raised."""
-    numerators = r_numerators(
-        j_polynomials_of_sextic_family(spec.sextic_zt()), spec.r_denominators
-    )
+    numerators = r_numerators(j_polynomials_of_sextic_family(spec.sextic), spec.r_denominators)
     out = {}
     for name, den in spec.r_denominators.items():
         try:

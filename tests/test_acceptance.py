@@ -94,11 +94,13 @@ class TestCriterion4NegativeControls:
     CASES = [
         ("deg3", 7),
         ("deg3", 11),
+        ("deg4", 7),
         ("deg4", 11),
         ("deg4", 37),
         ("deg7", 7),
         ("deg7", 19),
         ("deg7", 167),
+        ("deg7", 571603),
     ]
 
     @pytest.mark.parametrize("fid,p", CASES)

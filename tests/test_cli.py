@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from jacpairs import cli
 from jacpairs.cli import run
+from jacpairs.families import FAMILY_IDS, family_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +46,13 @@ class TestFamily:
     def test_invalid_parameter_is_error(self, capsys):
         code = run(["family", "gen", "--family", "deg3", "--t", "0"])
         assert code == 2
+
+    def test_zero_denominator_is_error(self, capsys):
+        code = run(["family", "gen", "--family", "howe2", "--t", "1/0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --t 1/0 has a zero denominator\n"
 
     def test_zero_prime_is_error(self, capsys):
         # --p 0 names no prime field; it must not fall back to Q
@@ -173,6 +182,40 @@ class TestGlue:
         assert code == 0
         assert payload["match"]
         assert payload["classesFound"] == ["C_-t", "C_t"]
+
+
+class TestReproduce:
+    CHECKS = [
+        "symbolic identities",
+        "resultant prime supports",
+        "characteristic-p loci",
+        "exhaustive scans",
+        "gluing reconstruction",
+        "obstruction records",
+        "cubic splitting criterion",
+    ]
+
+    def test_all_checks_pass(self, capsys):
+        code, payload = _run_json(capsys, ["--output", "json", "reproduce", "--all"])
+        assert code == 0 and payload["pass"] is True
+        assert [c["check"] for c in payload["checks"]] == self.CHECKS
+        assert all(c["pass"] is True for c in payload["checks"])
+        charp = payload["checks"][self.CHECKS.index("characteristic-p loci")]["detail"]
+        printed = [
+            f"{fid}@{p}" for fid in FAMILY_IDS for p in family_spec(fid).printed_primes if p > 5
+        ]
+        assert [case for case in printed if case not in charp] == []
+
+    def test_a_failing_check_fails_the_run(self, capsys, monkeypatch):
+        checks = [("passing", lambda: (True, {})), ("failing", lambda: (False, {"forced": 1}))]
+        monkeypatch.setattr(cli, "_reproduce_checks", lambda: checks)
+        code, payload = _run_json(capsys, ["--output", "json", "reproduce", "--all"])
+        assert code == 1
+        assert payload["pass"] is False
+        assert [(c["check"], c["pass"]) for c in payload["checks"]] == [
+            ("passing", True),
+            ("failing", False),
+        ]
 
 
 class TestUsage:

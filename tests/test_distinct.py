@@ -3,7 +3,6 @@ denominator exponents, fallback triple, prime supports, and small exhaustive
 scans.  The loci, which are computed on the halves in u = t^2, are checked
 against a reference that works in t throughout."""
 import dataclasses
-from functools import partial
 
 import pytest
 
@@ -19,7 +18,7 @@ from jacpairs.exact.poly import (
 )
 from jacpairs.exact.rings import GF, ZZ
 from jacpairs.exact.roots import irreducible_factors
-from jacpairs.families import family_spec, scalar_in
+from jacpairs.families import family_spec
 from jacpairs.igusa.invariants import (
     j_polynomials_of_sextic_family,
     r_numerators,
@@ -33,13 +32,13 @@ def _reference_charp(spec, p):
     out of each numerator by repeated long division, and the locus is the
     radical of the gcd of the stripped numerators."""
     F = GF(p)
-    js = [j.map_coeffs(F, F.from_int) for j in j_polynomials_of_sextic_family(spec.sextic_zt())]
+    js = [j.map_coeffs(F, F.from_int) for j in j_polynomials_of_sextic_family(spec.sextic)]
     triple = ("R2", "R3", "R5")
     if gcd_field(js[0], js[0].substitute_neg()).degree > 0 and "R23" in spec.r_denominators:
         triple = ("R23", "R35", "R25")
     base = []
     for den in spec.r_denominators.values() or [spec.validity_t]:
-        for fac, _ in irreducible_factors(den.map_coeffs(F, partial(scalar_in, F)))[1]:
+        for fac, _ in irreducible_factors(den.map_coeffs(F, F.from_int))[1]:
             if fac not in base:
                 base.append(fac)
     stripped, locus = {}, None
@@ -57,7 +56,7 @@ def _reference_charp(spec, p):
     exc = next((e for e in spec.exceptional if e.p == p), None)
     expected = Poly.one(F)
     for fac in exc.locus_factors if exc else ():
-        expected = expected * fac.map_coeffs(F, partial(scalar_in, F)).monic()
+        expected = expected * fac.map_coeffs(F, F.from_int).monic()
     ok = locus == expected
     if exc is not None and locus.degree > 0:
         for fac, _ in irreducible_factors(locus)[1]:

@@ -300,6 +300,14 @@ class TestPoly:
                 continue
             assert resultant(a, b) == resultant_sylvester(a, b)
 
+    def test_resultant_refuses_rings_other_than_fields_and_z(self):
+        # Z[t] is neither: its discriminants take the Sylvester determinant
+        R, t = PolyRing(ZZ), Poly.gen(ZZ)
+        f = Poly(R, [R.one, t, R.one])  # x^2 + t x + 1
+        with pytest.raises(TypeError, match="field or ZZ"):
+            resultant(f, f.derivative())
+        assert discriminant(f) == t**2 - 4
+
     def test_resultant_multiplicative(self):
         rng = random.Random(3)
         a = Poly.from_ints(ZZ, [rng.randrange(-9, 9) for _ in range(5)])

@@ -2,14 +2,15 @@
 parameterizations, specialization, and validity handling."""
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from jacpairs.exact.poly import (
     Poly,
+    PolyRing,
     _gcd_primitive_int,
     discriminant,
+    parity_split,
     poly_divmod,
     primitive_part_int,
     radical,
@@ -23,7 +24,6 @@ from jacpairs.families import (
     family_identity_check,
     family_sextic,
     family_spec,
-    scalar_in,
     symbolic_kappa_check,
     weierstrass_at,
     x0_jpair,
@@ -178,7 +178,7 @@ def _may_vanish_off_locus(spec):
     irreducible, and prod P_i divides ``validity_t`` in Z[t] by Gauss's
     lemma; so wherever 2 is a unit (Q and every GF(p^m) with p odd) it
     vanishes only on the validity locus."""
-    sextic = spec.sextic_zt()
+    sextic = spec.sextic
     validity = spec.validity_t.map_coeffs(QQ, Fraction)
     out = []
     for name, value in (("lc", sextic.lc()), ("disc", discriminant(sextic))):
@@ -201,7 +201,7 @@ class TestValidityLocus:
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_separable_sextic_off_the_locus(self, fid):
         spec = family_spec(fid)
-        assert spec.sextic_zt().degree == 6
+        assert spec.sextic.degree == 6
         assert _may_vanish_off_locus(spec) == []
 
     @pytest.mark.parametrize(
@@ -216,10 +216,68 @@ class TestValidityLocus:
         assert _may_vanish_off_locus(replace(spec, validity_t=quotient))
 
 
+def _validity_is_odd(spec):
+    try:
+        return parity_split(spec.validity_t)[0] == 1
+    except ArithmeticError:  # mixed parity
+        return False
+
+
+class TestValidityParity:
+    """Every ``validity_t`` is odd in t, so -t lies on the validity locus
+    exactly when t does: ``curve_pair`` evaluates it at t alone."""
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_validity_is_odd(self, fid):
+        assert _validity_is_odd(family_spec(fid))
+
+    @pytest.mark.parametrize("factor", [(1, 1), (0, 1)], ids=["t+1", "t"])
+    def test_validity_of_other_parity_is_caught(self, factor):
+        spec = family_spec("deg4")
+        validity = spec.validity_t * Poly.from_ints(ZZ, factor)
+        assert not _validity_is_odd(replace(spec, validity_t=validity))
+
+
+def _is_integral(datum):
+    """datum is an int, or a polynomial over ZZ with int coefficients."""
+    if isinstance(datum, Poly):
+        return datum.ring is ZZ and all(type(c) is int for c in datum.coeffs)
+    return type(datum) is int
+
+
+def _integer_data(spec):
+    """Every datum of the spec that lies in Z[t] (or Z): all but the
+    Weierstrass models and their closed forms, which are over Q[s]."""
+    data = [spec.validity_t, spec.twist_t, spec.s_of_t, *spec.sextic.coeffs]
+    data += spec.r_denominators.values()
+    for case in spec.exceptional:
+        data += [*case.locus_factors, *case.statement_factors]
+        if case.representative is not None:
+            data.append(case.representative)
+    for half in spec.kappa_halves or ():
+        data += [half.e1, half.e2, half.e3, half.e_den, half.kappa_correction]
+        data += [*half.kappa, *half.prefactor]
+    return data
+
+
+class TestIntegerData:
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_z_data_have_int_coefficients(self, fid):
+        spec = family_spec(fid)
+        assert spec.sextic.ring == PolyRing(ZZ)
+        assert [d for d in _integer_data(spec) if not _is_integral(d)] == []
+
+    def test_a_rational_coefficient_is_caught(self):
+        spec = family_spec("deg3")
+        twist = spec.twist_t.map_coeffs(QQ, Fraction)
+        assert [d for d in _integer_data(replace(spec, twist_t=twist)) if not _is_integral(d)] == [twist]
+        assert not _is_integral(Fraction(1, 4))
+
+
 def _monic_product_mod(factors, F):
     out = Poly.one(F)
     for fac in factors:
-        out = out * fac.map_coeffs(F, partial(scalar_in, F))
+        out = out * fac.map_coeffs(F, F.from_int)
     return out.monic()
 
 

@@ -242,7 +242,7 @@ class TestFamilyJPolynomials:
         # of the family sextic built directly over F_p at t0, and the same
         # holds at t0 in GF(p^2) outside F_p
         spec = family_spec(fid)
-        js = j_polynomials_of_sextic_family(spec.sextic_zt())
+        js = j_polynomials_of_sextic_family(spec.sextic)
         for p, t0 in ((101, 3), (1009, 17), (7919, 1234)):
             F = GF(p)
             at_t0 = tuple(eval_poly(j, F, F.from_int(t0)) for j in js)
@@ -254,7 +254,7 @@ class TestFamilyJPolynomials:
             assert at_t0 == igusa_vector(family_sextic(spec, K, t0)[1])
 
     def test_j_polynomials_are_integral(self):
-        js = j_polynomials_of_sextic_family(family_spec("deg7").sextic_zt())
+        js = j_polynomials_of_sextic_family(family_spec("deg7").sextic)
         assert all(j.ring is ZZ for j in js)
         assert all(type(c) is int for j in js for c in j.coeffs)
 
@@ -272,7 +272,7 @@ class TestFamilyJPolynomials:
         j_polynomials_of_sextic_family.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="not in Z\\[t\\]"):
-                j_polynomials_of_sextic_family(family_spec("deg3").sextic_zt())
+                j_polynomials_of_sextic_family(family_spec("deg3").sextic)
         finally:
             j_polynomials_of_sextic_family.cache_clear()
 
@@ -290,7 +290,7 @@ def _z_primitive(f):
 def _fraction_r_polynomial(spec, name):
     """The earlier Q[t] route, kept as the reference: the numerator divided
     by its printed denominator by long division over Q."""
-    num = r_numerators(j_polynomials_of_sextic_family(spec.sextic_zt()), (name,))[name]
+    num = r_numerators(j_polynomials_of_sextic_family(spec.sextic), (name,))[name]
     q, r = poly_divmod(
         num.map_coeffs(QQ, Fraction), spec.r_denominators[name].map_coeffs(QQ, Fraction)
     )
@@ -304,7 +304,7 @@ class TestWeightedDifferences:
                   ("deg7", 17), ("deg7", 101)],
     )
     def test_numerators_over_zt_reduce_to_numerators_over_fp(self, fid, p):
-        js = j_polynomials_of_sextic_family(family_spec(fid).sextic_zt())
+        js = j_polynomials_of_sextic_family(family_spec(fid).sextic)
         F = GF(p)
         over_zt = r_numerators(js, R_NAMES)
         over_fp = r_numerators([j.map_coeffs(F, F.from_int) for j in js], R_NAMES)
@@ -313,7 +313,7 @@ class TestWeightedDifferences:
             assert over_zt[name].map_coeffs(F, F.from_int) == over_fp[name]
 
     def test_only_the_named_numerators(self):
-        js = j_polynomials_of_sextic_family(family_spec("deg4").sextic_zt())
+        js = j_polynomials_of_sextic_family(family_spec("deg4").sextic)
         full = r_numerators(js, R_NAMES)
         for names in (("R2", "R3", "R5"), ("R35",), ("R25", "R2"), ()):
             some = r_numerators(js, names)
@@ -323,7 +323,7 @@ class TestWeightedDifferences:
     def test_numerator_formulas(self):
         # the six definitions written out, over F_p for speed
         F = GF(1009)
-        js = j_polynomials_of_sextic_family(family_spec("deg4").sextic_zt())
+        js = j_polynomials_of_sextic_family(family_spec("deg4").sextic)
         jp = dict(zip((1, 2, 3, 4, 5), (j.map_coeffs(F, F.from_int) for j in js)))
         jn = {k: j.substitute_neg() for k, j in jp.items()}
         expected = {

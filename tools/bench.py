@@ -81,7 +81,7 @@ def _layer_cases():
         roots,
         splitting_field,
     )
-    from jacpairs.families import _x0_table, eval_poly, family_spec, weierstrass_at
+    from jacpairs.families import _x0_table, curve_pair, eval_poly, family_spec, weierstrass_at
     from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
     from jacpairs.igusa.invariants import igusa_vector, r_polynomials
     from jacpairs.obstruction import RECORDS, square_condition_consistency
@@ -143,6 +143,9 @@ def _layer_cases():
     deg3, deg4, deg7 = (family_spec(fid) for fid in ("deg3", "deg4", "deg7"))
     # drawn after every input above: the obstruction curve O_5
     o5 = RECORDS[5].curve
+    # drawn after every input above: every parameter of GF(23^2)
+    K23 = GFext(23, 2)
+    params_23 = list(K23.elements())
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -174,6 +177,7 @@ def _layer_cases():
         "square_condition_consistency[18]": lambda: square_condition_consistency(18),
         "r_polynomials[deg4]": lambda: r_polynomials(deg4),
         "x0_table[uncached]": lambda: _x0_table.__wrapped__(),
+        "curve_pair[deg4, every t in GF(23^2)]": lambda: [curve_pair(deg4, K23, t) for t in params_23],
     }
 
 
