@@ -2,9 +2,10 @@
 rational parameterizations of cyclic isogenies they are built from.
 
 Each :class:`FamilySpec` is pure data: the two Weierstrass models over Q[s],
-their closed-form discriminants and j-invariants, the substitution s(t) in
-Z[t] imposed by the Galois restriction, the twisted sextic family C_t as one
-polynomial in x over Z[t] (``FamilySpec.sextic``), the validity locus, the
+their closed-form discriminants, the family's point on X_0(N) that gives
+their j-invariants (``x0_point``), the substitution s(t) in Z[t] imposed by
+the Galois restriction, the twisted sextic family C_t as one polynomial in
+x over Z[t] (``FamilySpec.sextic``), the validity locus, the
 symbolic kappa/gamma identities, the printed denominators of the weighted
 difference polynomials, and the exceptional characteristic data.  Every
 fraction in the data is a (numerator, denominator) pair of polynomials, and
@@ -14,8 +15,18 @@ evaluate the family at concrete parameter values over Q or a finite field.
 
 The table of X_0(N) parameterizations is integral: each row is a pair of
 coprime polynomials in Z[s] with a monic denominator, and it is built and
-read in Z[s].  Only the Weierstrass models are fractional (a2 = quart/4 for
-deg3 and deg7), so Q[s] holds those and their identity check alone.
+read in Z[s].  Only j_N is stored, with one integer c_N per row; j'_N is the
+Atkin-Lehner flip j'_N(s) = j_N(c_N/s), cleared to s^d j_N(c_N/s) and
+divided exactly by the leading coefficient of its denominator.  Four checks
+pin the c_N: that division, which raises for most wrong c; the model
+identities of ``family_identity_check``, which compare rows 2, 3, 4 and 7,
+j and j', with the Weierstrass models at the families' points 64s, s,
+s - 16 and s; the square conditions of the even obstruction degrees, which
+read j' (``obstruction.square_condition_consistency``); and the |a_p| test
+of every row over F_p (``tests/test_families.py::TestIsogenyOracle``),
+the one check on j' of N = 5, 9, 13 and 25.  Only the Weierstrass models
+are fractional (a2 = quart/4 for deg3 and deg7), so Q[s] holds those and
+their identity check alone.
 
 Each family is parameterized by the open set where ``validity_t`` is
 nonzero, and there C_t is a separable sextic of degree 6.  This is proved
@@ -42,6 +53,7 @@ from .exact.rings import QQ, ZZ
 
 # generators used throughout the data below
 _S = Poly.gen(QQ)  # s, coefficient parameter of the isogeny families
+_SZ = Poly.gen(ZZ)  # s over Z, for the families' points on X_0(N)
 _T = Poly.gen(ZZ)  # t, parameter of the sextic families (integer coefficients)
 _RZT = PolyRing(ZZ)  # Z[t], coefficient ring of the family sextics
 _RQS = PolyRing(QQ)  # Q[s], coefficient ring of the family Weierstrass models
@@ -64,247 +76,149 @@ def _xpoly(*coeffs) -> Poly:
 @dataclass(frozen=True)
 class X0Param:
     """j and j' as (numerator, denominator) pairs over Z[s], each coprime
-    with a monic denominator."""
+    with a monic denominator.  Only j is stored; j' is its Atkin-Lehner
+    flip j'(s) = j(c_N/s) (``_atkin_lehner_flip``), and for N = 1, j' = j."""
 
     n: int
     j: tuple
     j_prime: tuple
 
 
+# c_N of the Atkin-Lehner involution s -> c_N/s of each row, N >= 2
+_ATKIN_LEHNER = {
+    2: 4096, 3: 729, 4: 256, 5: 125, 6: 72, 7: 49, 8: 32,
+    9: 27, 10: 20, 12: 12, 13: 13, 16: 8, 18: 6, 25: 5,
+}
+X0_DEGREES = (1, *_ATKIN_LEHNER)
+
+
+def _atkin_lehner_flip(pair, c: int) -> tuple:
+    """s^d j(c/s) for j = num/den over Z[s], d = max(deg num, deg den), as a
+    (numerator, denominator) pair divided by the denominator's leading
+    coefficient.  Raises ``ArithmeticError`` when that division is not exact
+    in Z, as it is not for a c that does not belong to the row."""
+    num, den = pair
+    d = max(num.degree, den.degree)
+
+    def flipped(f):  # s^d f(c/s)
+        return Poly(ZZ, [f.coeff(d - k) * c ** (d - k) for k in range(d + 1)])
+
+    top, bottom = flipped(num), flipped(den)
+    lead = bottom.lc()
+    return tuple(Poly(ZZ, [ZZ.divexact(a, lead) for a in f.coeffs]) for f in (top, bottom))
+
+
 @cache
 def _x0_table():
-    s = Poly.gen(ZZ)
+    s = _SZ
     rows = {
-        1: ((s, 1), (s, 1)),
-        2: (((s + 16) ** 3, s), ((s + 256) ** 3, s**2)),
-        3: (((s + 27) * (s + 3) ** 3, s), ((s + 27) * (s + 243) ** 3, s**3)),
-        4: (
-            ((s**2 + 16 * s + 16) ** 3, s * (s + 16)),
-            ((s**2 + 256 * s + 4096) ** 3, s**4 * (s + 16)),
-        ),
-        5: (((s**2 + 10 * s + 5) ** 3, s), ((s**2 + 250 * s + 3125) ** 3, s**5)),
+        2: ((s + 16) ** 3, s),
+        3: ((s + 27) * (s + 3) ** 3, s),
+        4: ((s**2 + 16 * s + 16) ** 3, s * (s + 16)),
+        5: ((s**2 + 10 * s + 5) ** 3, s),
         6: (
-            (
-                (s + 6) ** 3 * (s**3 + 18 * s**2 + 84 * s + 24) ** 3,
-                s * (s + 8) ** 3 * (s + 9) ** 2,
-            ),
-            (
-                (s + 12) ** 3 * (s**3 + 252 * s**2 + 3888 * s + 15552) ** 3,
-                s**6 * (s + 8) ** 2 * (s + 9) ** 3,
-            ),
+            (s + 6) ** 3 * (s**3 + 18 * s**2 + 84 * s + 24) ** 3,
+            s * (s + 8) ** 3 * (s + 9) ** 2,
         ),
-        7: (
-            ((s**2 + 13 * s + 49) * (s**2 + 5 * s + 1) ** 3, s),
-            ((s**2 + 13 * s + 49) * (s**2 + 245 * s + 2401) ** 3, s**7),
-        ),
+        7: ((s**2 + 13 * s + 49) * (s**2 + 5 * s + 1) ** 3, s),
         8: (
-            (
-                (s**4 + 16 * s**3 + 80 * s**2 + 128 * s + 16) ** 3,
-                s * (s + 4) ** 2 * (s + 8),
-            ),
-            (
-                (s**4 + 256 * s**3 + 5120 * s**2 + 32768 * s + 65536) ** 3,
-                s**8 * (s + 4) * (s + 8) ** 2,
-            ),
+            (s**4 + 16 * s**3 + 80 * s**2 + 128 * s + 16) ** 3,
+            s * (s + 4) ** 2 * (s + 8),
         ),
         9: (
-            (
-                (s + 3) ** 3 * (s**3 + 9 * s**2 + 27 * s + 3) ** 3,
-                s * (s**2 + 9 * s + 27),
-            ),
-            (
-                (s + 9) ** 3 * (s**3 + 243 * s**2 + 2187 * s + 6561) ** 3,
-                s**9 * (s**2 + 9 * s + 27),
-            ),
+            (s + 3) ** 3 * (s**3 + 9 * s**2 + 27 * s + 3) ** 3,
+            s * (s**2 + 9 * s + 27),
         ),
         10: (
             (
-                (
-                    s**6
-                    + 20 * s**5
-                    + 160 * s**4
-                    + 640 * s**3
-                    + 1280 * s**2
-                    + 1040 * s
-                    + 80
-                )
-                ** 3,
-                s * (s + 4) ** 5 * (s + 5) ** 2,
-            ),
-            (
-                (
-                    s**6
-                    + 260 * s**5
-                    + 6400 * s**4
-                    + 64000 * s**3
-                    + 320000 * s**2
-                    + 800000 * s
-                    + 800000
-                )
-                ** 3,
-                s**10 * (s + 4) ** 2 * (s + 5) ** 5,
-            ),
+                s**6
+                + 20 * s**5
+                + 160 * s**4
+                + 640 * s**3
+                + 1280 * s**2
+                + 1040 * s
+                + 80
+            )
+            ** 3,
+            s * (s + 4) ** 5 * (s + 5) ** 2,
         ),
         12: (
-            (
-                (s**2 + 6 * s + 6) ** 3
-                * (
-                    s**6
-                    + 18 * s**5
-                    + 126 * s**4
-                    + 432 * s**3
-                    + 732 * s**2
-                    + 504 * s
-                    + 24
-                )
-                ** 3,
-                s * (s + 2) ** 3 * (s + 3) ** 4 * (s + 4) ** 3 * (s + 6),
-            ),
-            (
-                (s**2 + 12 * s + 24) ** 3
-                * (
-                    s**6
-                    + 252 * s**5
-                    + 4392 * s**4
-                    + 31104 * s**3
-                    + 108864 * s**2
-                    + 186624 * s
-                    + 124416
-                )
-                ** 3,
-                s**12 * (s + 2) * (s + 3) ** 3 * (s + 4) ** 4 * (s + 6) ** 3,
-            ),
+            (s**2 + 6 * s + 6) ** 3
+            * (
+                s**6
+                + 18 * s**5
+                + 126 * s**4
+                + 432 * s**3
+                + 732 * s**2
+                + 504 * s
+                + 24
+            )
+            ** 3,
+            s * (s + 2) ** 3 * (s + 3) ** 4 * (s + 4) ** 3 * (s + 6),
         ),
         13: (
-            (
-                (s**2 + 5 * s + 13)
-                * (s**4 + 7 * s**3 + 20 * s**2 + 19 * s + 1) ** 3,
-                s,
-            ),
-            (
-                (s**2 + 5 * s + 13)
-                * (s**4 + 247 * s**3 + 3380 * s**2 + 15379 * s + 28561) ** 3,
-                s**13,
-            ),
+            (s**2 + 5 * s + 13)
+            * (s**4 + 7 * s**3 + 20 * s**2 + 19 * s + 1) ** 3,
+            s,
         ),
         16: (
             (
-                (
-                    s**8
-                    + 16 * s**7
-                    + 112 * s**6
-                    + 448 * s**5
-                    + 1104 * s**4
-                    + 1664 * s**3
-                    + 1408 * s**2
-                    + 512 * s
-                    + 16
-                )
-                ** 3,
-                s * (s + 2) ** 4 * (s + 4) * (s**2 + 4 * s + 8),
-            ),
-            (
-                (
-                    s**8
-                    + 256 * s**7
-                    + 5632 * s**6
-                    + 53248 * s**5
-                    + 282624 * s**4
-                    + 917504 * s**3
-                    + 1835008 * s**2
-                    + 2097152 * s
-                    + 1048576
-                )
-                ** 3,
-                s**16 * (s + 2) * (s + 4) ** 4 * (s**2 + 4 * s + 8),
-            ),
+                s**8
+                + 16 * s**7
+                + 112 * s**6
+                + 448 * s**5
+                + 1104 * s**4
+                + 1664 * s**3
+                + 1408 * s**2
+                + 512 * s
+                + 16
+            )
+            ** 3,
+            s * (s + 2) ** 4 * (s + 4) * (s**2 + 4 * s + 8),
         ),
         18: (
-            (
-                (s**3 + 6 * s**2 + 12 * s + 6) ** 3
-                * (
-                    s**9
-                    + 18 * s**8
-                    + 144 * s**7
-                    + 666 * s**6
-                    + 1944 * s**5
-                    + 3672 * s**4
-                    + 4404 * s**3
-                    + 3096 * s**2
-                    + 1008 * s
-                    + 24
-                )
-                ** 3,
-                s
-                * (s + 2) ** 9
-                * (s + 3) ** 2
-                * (s**2 + 3 * s + 3) ** 2
-                * (s**2 + 6 * s + 12),
-            ),
-            (
-                (s**3 + 12 * s**2 + 36 * s + 36) ** 3
-                * (
-                    s**9
-                    + 252 * s**8
-                    + 4644 * s**7
-                    + 39636 * s**6
-                    + 198288 * s**5
-                    + 629856 * s**4
-                    + 1294704 * s**3
-                    + 1679616 * s**2
-                    + 1259712 * s
-                    + 419904
-                )
-                ** 3,
-                s**18
-                * (s + 2) ** 2
-                * (s + 3) ** 9
-                * (s**2 + 3 * s + 3)
-                * (s**2 + 6 * s + 12) ** 2,
-            ),
+            (s**3 + 6 * s**2 + 12 * s + 6) ** 3
+            * (
+                s**9
+                + 18 * s**8
+                + 144 * s**7
+                + 666 * s**6
+                + 1944 * s**5
+                + 3672 * s**4
+                + 4404 * s**3
+                + 3096 * s**2
+                + 1008 * s
+                + 24
+            )
+            ** 3,
+            s
+            * (s + 2) ** 9
+            * (s + 3) ** 2
+            * (s**2 + 3 * s + 3) ** 2
+            * (s**2 + 6 * s + 12),
         ),
         25: (
             (
-                (
-                    s**10
-                    + 10 * s**9
-                    + 55 * s**8
-                    + 200 * s**7
-                    + 525 * s**6
-                    + 1010 * s**5
-                    + 1425 * s**4
-                    + 1400 * s**3
-                    + 875 * s**2
-                    + 250 * s
-                    + 5
-                )
-                ** 3,
-                s * (s**4 + 5 * s**3 + 15 * s**2 + 25 * s + 25),
-            ),
-            (
-                (
-                    s**10
-                    + 250 * s**9
-                    + 4375 * s**8
-                    + 35000 * s**7
-                    + 178125 * s**6
-                    + 631250 * s**5
-                    + 1640625 * s**4
-                    + 3125000 * s**3
-                    + 4296875 * s**2
-                    + 3906250 * s
-                    + 1953125
-                )
-                ** 3,
-                s**25 * (s**4 + 5 * s**3 + 15 * s**2 + 25 * s + 25),
-            ),
+                s**10
+                + 10 * s**9
+                + 55 * s**8
+                + 200 * s**7
+                + 525 * s**6
+                + 1010 * s**5
+                + 1425 * s**4
+                + 1400 * s**3
+                + 875 * s**2
+                + 250 * s
+                + 5
+            )
+            ** 3,
+            s * (s**4 + 5 * s**3 + 15 * s**2 + 25 * s + 25),
         ),
     }
-    out = {}
-    for n, ((jn, jd), (jpn, jpd)) in rows.items():
-        jd = jd if isinstance(jd, Poly) else Poly.constant(ZZ, jd)
-        jpd = jpd if isinstance(jpd, Poly) else Poly.constant(ZZ, jpd)
-        out[n] = X0Param(n, (jn, jd), (jpn, jpd))
+    one = Poly.one(ZZ)
+    out = {1: X0Param(1, (s, one), (s, one))}
+    for n, c in _ATKIN_LEHNER.items():
+        out[n] = X0Param(n, rows[n], _atkin_lehner_flip(rows[n], c))
     return out
 
 
@@ -315,9 +229,6 @@ def x0_jpair(n: int) -> X0Param:
     if n not in table:
         raise ValueError(f"degree {n} has no genus-zero parameterization")
     return table[n]
-
-
-X0_DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +270,7 @@ class FamilySpec:
     eprime_model: tuple
     delta_s: Poly
     delta_prime_s: Poly
-    j_s: tuple  # (numerator, denominator) over Q[s], the family-local form
-    j_prime_s: tuple
+    x0_point: Poly  # over Z[s]: the family's point on X_0(N), N = isogeny_degree
     s_of_t: Poly  # substitution imposed by the Galois restriction, over Z[t]
     validity_t: Poly  # over Z[t]; family defined where this is nonzero
     twist_t: Poly  # over Z[t]; left-hand coefficient of the C_t model
@@ -386,8 +296,7 @@ def _build_howe2() -> FamilySpec:
         eprime_model=(8 * (s + 1), 16 * s * (s + 1), Poly.zero(QQ)),
         delta_s=(2**12) * s * (s + 1) ** 3,
         delta_prime_s=(2**18) * s**2 * (s + 1) ** 3,
-        j_s=((64 * s + 16) ** 3, 64 * s),
-        j_prime_s=((64 * s + 256) ** 3, 4096 * s**2),
+        x0_point=64 * _SZ,
         s_of_t=t**2,
         validity_t=t * (t**2 - 1) * (t**2 + 1),
         twist_t=t + 1,
@@ -455,8 +364,7 @@ def _build_deg3() -> FamilySpec:
         ),
         delta_s=s * (s + 3) ** 6 * (s + 27) ** 2,
         delta_prime_s=s**3 * (s + 3) ** 6 * (s + 27) ** 2,
-        j_s=((s + 27) * (s + 3) ** 3, s),
-        j_prime_s=((s + 27) * (s + 243) ** 3, s**3),
+        x0_point=_SZ,
         s_of_t=t**2,
         validity_t=t
         * (t**2 + 27)
@@ -532,8 +440,7 @@ def _build_deg4() -> FamilySpec:
         ),
         delta_s=(2**12) * s**7 * (s - 16),
         delta_prime_s=(2**12) * s**7 * (s - 16) ** 4,
-        j_s=((s**2 - 16 * s + 16) ** 3, s * (s - 16)),
-        j_prime_s=((s**2 + 224 * s + 256) ** 3, s * (s - 16) ** 4),
+        x0_point=_SZ - 16,
         s_of_t=16 * t**2 + 16,
         # the factor t appears in the detailed nonvanishing condition but not
         # in the summary statement; it is included here
@@ -696,8 +603,7 @@ def _build_deg7() -> FamilySpec:
         eprime_model=(a2, bq, cq),
         delta_s=s * (s**2 + 5 * s + 1) ** 6 * (s**2 + 13 * s + 49) ** 2,
         delta_prime_s=s**7 * (s**2 + 5 * s + 1) ** 6 * (s**2 + 13 * s + 49) ** 2,
-        j_s=((s**2 + 13 * s + 49) * (s**2 + 5 * s + 1) ** 3, s),
-        j_prime_s=((s**2 + 13 * s + 49) * (s**2 + 245 * s + 2401) ** 3, s**7),
+        x0_point=_SZ,
         s_of_t=t**2,
         validity_t=t
         * (t**4 + 13 * t**2 + 49)
@@ -832,12 +738,16 @@ def curve_pair(spec: FamilySpec, field, t_value):
 def family_identity_check(spec: FamilySpec) -> dict:
     """Exact verification over Q[s] of the discriminant and j-invariant
     closed forms of both Weierstrass models: Delta as a polynomial, and
-    j = jn/jd as c4^3 * jd == jn * Delta.  Returns per-identity booleans."""
+    j = jn/jd as c4^3 * jd == jn * Delta, where jn/jd is j_N (for E) or j'_N
+    (for E') of the X_0(N) table at the family's point ``x0_point``.
+    Returns per-identity booleans."""
+    row = x0_jpair(spec.isogeny_degree)
     report = {}
-    for tag, model, delta, (jn, jd) in (
-        ("E", spec.e_model, spec.delta_s, spec.j_s),
-        ("Eprime", spec.eprime_model, spec.delta_prime_s, spec.j_prime_s),
+    for tag, model, delta, pair in (
+        ("E", spec.e_model, spec.delta_s, row.j),
+        ("Eprime", spec.eprime_model, spec.delta_prime_s, row.j_prime),
     ):
+        jn, jd = (f.evaluate(spec.x0_point).map_coeffs(QQ, QQ.from_int) for f in pair)
         E = WeierstrassModel.from_coefficients(_RQS, *model)
         c4_cubed, disc = j_pair(E)
         report[f"delta_{tag}"] = disc == delta

@@ -11,7 +11,9 @@ recorded point lists by bounded search.
 The square condition is worked out in Z[x]: the X_0(N) rows and the
 records are integral, so each class modulo squares is a signed integer
 constant times a primitive squarefree polynomial, compared with the monic
-recorded curve as it stands.
+recorded curve as it stands.  The rows come from ``families.x0_jpair``,
+which stores j_N and derives j'_N(s) = j_N(c_N/s) by the Atkin-Lehner flip;
+the even degrees read j'_N, so their square conditions also check c_N.
 """
 from __future__ import annotations
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacpairs import families
 from jacpairs.exact.poly import (
     Poly,
     PolyRing,
@@ -19,6 +20,7 @@ from jacpairs.exact.rings import GF, QQ, ZZ, GFext
 from jacpairs.families import (
     FAMILY_IDS,
     X0_DEGREES,
+    _atkin_lehner_flip,
     curve_pair,
     eval_poly,
     family_identity_check,
@@ -42,13 +44,16 @@ class TestSymbolicIdentities:
         assert rep["plain"] and rep["tilde"]
 
 
-def _perturb_delta(spec):
+def _perturb_delta(spec, monkeypatch):
     return replace(spec, delta_s=spec.delta_s + 1)
 
 
-def _perturb_j_numerator(spec):
-    jn, jd = spec.j_s
-    return replace(spec, j_s=(jn + 1, jd))
+def _perturb_j_numerator(spec, monkeypatch):
+    # the family reads its j from the X_0(N) row: perturb the row
+    row = x0_jpair(spec.isogeny_degree)
+    jn, jd = row.j
+    monkeypatch.setattr(families, "x0_jpair", lambda n: replace(row, j=(jn + 1, jd)))
+    return spec
 
 
 def _perturb_half(spec, index, **changes):
@@ -82,9 +87,25 @@ class TestNegativeControls:
         ],
         ids=["delta", "j_numerator"],
     )
-    def test_model_identities(self, perturb, failing):
-        rep = family_identity_check(perturb(family_spec("deg7")))
+    def test_model_identities(self, perturb, failing, monkeypatch):
+        rep = family_identity_check(perturb(family_spec("deg7"), monkeypatch))
         assert {k for k, v in rep.items() if not v} == failing | {"pass"}, rep
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_shifted_x0_point(self, fid):
+        # j and j' are both read at the point, so both identities fail
+        spec = family_spec(fid)
+        rep = family_identity_check(replace(spec, x0_point=spec.x0_point + 1))
+        assert {k for k, v in rep.items() if not v} == {"j_E", "j_Eprime", "pass"}, rep
+
+    def test_wrong_flip_constant(self, monkeypatch):
+        # c = 64 keeps the X_0(4) flip integral, so only the Weierstrass
+        # model of E' can tell it from c_4 = 256
+        row = x0_jpair(4)
+        wrong = replace(row, j_prime=_atkin_lehner_flip(row.j, 64))
+        monkeypatch.setattr(families, "x0_jpair", lambda n: wrong)
+        rep = family_identity_check(family_spec("deg4"))
+        assert {k for k, v in rep.items() if not v} == {"j_Eprime", "pass"}, rep
 
     @pytest.mark.parametrize(
         "perturb,failing",
@@ -128,6 +149,67 @@ class TestModularTable:
         param = x0_jpair(10)
         for s in (Fraction(1), Fraction(5, 3)):
             assert _value(param.j_prime, s) == _value(param.j, Fraction(20) / s)
+
+    def test_flip_by_a_wrong_constant_is_not_integral(self):
+        # c = 36 for X_0(6) (c_6 = 72) leaves a coefficient that the
+        # denominator's leading coefficient does not divide
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            _atkin_lehner_flip(x0_jpair(6).j, 36)
+
+
+def _value_mod(pair, s, p):
+    """num(s) / den(s) mod p, or None where den(s) = 0 mod p."""
+    num, den = pair
+    d = den.evaluate(s) % p
+    return None if d == 0 else num.evaluate(s) * pow(d, -1, p) % p
+
+
+def _abs_ap(j, p, chi):
+    """|a_p| of y^2 = x^3 + 3k x + 2k(1728 - j), k = j (1728 - j), a curve
+    of j-invariant j (not 0 or 1728), by its Legendre sum."""
+    k = j * (1728 - j)
+    a, b = 3 * k % p, 2 * k * (1728 - j) % p
+    return abs(sum(chi[(x * x * x + a * x + b) % p] for x in range(p)))
+
+
+def _abs_ap_mismatches(j, j_prime):
+    """(cases, mismatches) of |a_p| between curves of j-invariants j(s) and
+    j'(s), over every s in F_p, p in {101, 103, 107}, where both are
+    defined and neither is 0 or 1728."""
+    cases = mismatches = 0
+    for p in (101, 103, 107):
+        chi = [-1] * p
+        chi[0] = 0
+        for x in range(1, p):
+            chi[x * x % p] = 1
+        for s in range(p):
+            values = (_value_mod(j, s, p), _value_mod(j_prime, s, p))
+            if any(v is None or v in (0, 1728 % p) for v in values):
+                continue
+            cases += 1
+            mismatches += _abs_ap(values[0], p, chi) != _abs_ap(values[1], p, chi)
+    return cases, mismatches
+
+
+class TestIsogenyOracle:
+    """Curves isogenous over F_p have equal a_p, and a quadratic twist only
+    changes its sign.  So at each s in F_p, every curve of j-invariant
+    j_N(s) has the |a_p| of every curve of j-invariant j'_N(s).  This reads
+    j' of every row, including N = 5, 9, 13 and 25, which no other check
+    compares with a curve."""
+
+    @pytest.mark.parametrize("n", X0_DEGREES[1:])
+    def test_rows_are_isogenous(self, n):
+        row = x0_jpair(n)
+        cases, mismatches = _abs_ap_mismatches(row.j, row.j_prime)
+        assert cases > 250 and mismatches == 0, (cases, mismatches)
+
+    def test_wrong_flip_constant_is_caught(self):
+        # c = 2048 keeps the X_0(2) flip integral, so the exact division
+        # alone does not reject it
+        row = x0_jpair(2)
+        cases, mismatches = _abs_ap_mismatches(row.j, _atkin_lehner_flip(row.j, 2048))
+        assert mismatches > cases // 2, (cases, mismatches)
 
 
 def _value(pair, s):

@@ -81,7 +81,15 @@ def _layer_cases():
         roots,
         splitting_field,
     )
-    from jacpairs.families import _x0_table, curve_pair, eval_poly, family_spec, weierstrass_at
+    from jacpairs.families import (
+        FAMILY_IDS,
+        _x0_table,
+        curve_pair,
+        eval_poly,
+        family_identity_check,
+        family_spec,
+        weierstrass_at,
+    )
     from jacpairs.glue import GlueError, GlueInput, glue_p10, verify_reconstruction
     from jacpairs.igusa.invariants import igusa_vector, r_polynomials
     from jacpairs.obstruction import RECORDS, square_condition_consistency
@@ -146,6 +154,8 @@ def _layer_cases():
     # drawn after every input above: every parameter of GF(23^2)
     K23 = GFext(23, 2)
     params_23 = list(K23.elements())
+    # built after every input above: the four family specs
+    specs = [family_spec(fid) for fid in FAMILY_IDS]
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -178,6 +188,7 @@ def _layer_cases():
         "r_polynomials[deg4]": lambda: r_polynomials(deg4),
         "x0_table[uncached]": lambda: _x0_table.__wrapped__(),
         "curve_pair[deg4, every t in GF(23^2)]": lambda: [curve_pair(deg4, K23, t) for t in params_23],
+        "family_identity_check[all four]": lambda: [family_identity_check(spec) for spec in specs],
     }
 
 
