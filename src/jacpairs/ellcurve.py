@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .exact.integers import is_perfect_square
-from .exact.poly import Poly, discriminant
+from .exact.poly import Poly, cubic_discriminant, discriminant
 from .exact.rings import PrimeField
 from .exact.roots import roots
 
@@ -87,13 +87,6 @@ def galois_cubic_split_check(f: Poly):
     d = discriminant(f)
     if F.is_zero(d):
         raise ValueError("inseparable cubic")
-    return _split_record(f, d)
-
-
-def _split_record(f: Poly, d):
-    """``galois_cubic_split_check`` of a monic cubic f over F_p with nonzero
-    discriminant d."""
-    F = f.ring
     square = F.is_square(d)
     nroots = len(roots(f))
     consistent = (square and nroots in (0, 3)) or (not square and nroots == 1)
@@ -200,9 +193,25 @@ def odd_degree_point_search(f: Poly, bound: int):
     return found
 
 
+def _root_counts(p: int, a: int, b: int) -> list:
+    """hits[c] = #{r in F_p : r^3 + a r^2 + b r + c = 0}, for every c, from
+    one pass over r: r is a root for exactly c = -(r^3 + a r^2 + b r)."""
+    hits = [0] * p
+    for r in range(p):
+        hits[-(r * (r * (r + a) + b)) % p] += 1
+    return hits
+
+
 def exhaustive_split_scan(p: int) -> dict:
-    """Run galois_cubic_split_check over every monic separable cubic mod p
-    and count the outcomes; ``pass`` requires every case consistent."""
+    """The criterion of ``galois_cubic_split_check`` on every monic
+    separable cubic x^3 + a x^2 + b x + c mod p, and the outcomes counted;
+    ``pass`` requires every case consistent.
+
+    No cubic is root-found: each (a, b) gets one table of distinct root
+    counts over c (``_root_counts``), which is independent of the
+    discriminant, and disc is the package's cubic formula on ints mod p.  A
+    root count other than 0, 1 or 3 (impossible for a separable cubic) is
+    tallied under its own key and counted inconsistent."""
     from .exact.rings import GF
 
     F = GF(p)
@@ -211,15 +220,15 @@ def exhaustive_split_scan(p: int) -> dict:
     by_roots = {0: 0, 1: 0, 3: 0}
     for a in range(p):
         for b in range(p):
+            hits = _root_counts(p, a, b)
             for c in range(p):
-                f = Poly(F, [F.from_int(c), F.from_int(b), F.from_int(a), F.one])
-                d = discriminant(f)
+                d = cubic_discriminant(F, c, b, a, 1)
                 if F.is_zero(d):
                     continue
-                rec = _split_record(f, d)
+                nroots = hits[c]
                 total += 1
-                by_roots[rec["root_count"]] += 1
-                if not rec["consistent"]:
+                by_roots[nroots] = by_roots.get(nroots, 0) + 1
+                if nroots not in ((0, 3) if F.is_square(d) else (1,)):
                     inconsistent += 1
     return {
         "p": p,

@@ -656,7 +656,7 @@ def discriminant(f: Poly):
     if d < 2:
         raise ValueError("discriminant requires degree >= 2")
     if d == 3:
-        return _cubic_discriminant(R, *f.coeffs)
+        return cubic_discriminant(R, *f.coeffs)
     if d >= 4 and d % 2 == 0 and all(R.is_zero(c) for c in f.coeffs[1::2]):
         g = Poly(R, f.coeffs[::2])
         dg = discriminant(g)
@@ -674,9 +674,10 @@ def discriminant(f: Poly):
     return res
 
 
-def _cubic_discriminant(R, e, c, b, a):
+def cubic_discriminant(R, e, c, b, a):
     """b^2 c^2 - 4 a c^3 - 4 b^3 e - 27 a^2 e^2 + 18 a b c e for the cubic
-    with coefficients (e, c, b, a), low to high."""
+    with coefficients (e, c, b, a), low to high, taken in R on elements as R
+    holds them (plain ints for ZZ and for a PrimeField), with no Poly."""
     bc, ae = R.mul(b, c), R.mul(a, e)
     # bc (bc + 18 ae) - 4 (ac c^2 + b^2 be) - 27 (ae)^2
     disc = R.mul(bc, R.add(bc, R.mul(R.from_int(18), ae)))

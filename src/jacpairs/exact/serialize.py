@@ -33,7 +33,10 @@ def element_from_json(R, obj):
     if type(obj) not in (str, int):
         raise ValueError(f"expected a decimal string or integer as an element of {R!r}, got {obj!r}")
     if isinstance(R, RationalField):
-        return Fraction(str(obj).replace("−", "-"))
+        try:
+            return Fraction(str(obj).replace("−", "-"))
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {obj} has a zero denominator") from None
     return int(obj) % R.p
 
 

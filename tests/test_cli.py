@@ -125,6 +125,14 @@ class TestIgusa:
         assert captured.out == ""
         assert captured.err.startswith("error: expected")
 
+    def test_zero_denominator_coefficient_is_usage_error(self, capsys):
+        poly = json.dumps(["1/0", 0, 1, 0, 0, 0, 1])
+        code = run(["igusa", "invariants", "--poly", poly])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: coefficient 1/0 has a zero denominator\n"
+
 
 class TestDistinct:
     def test_charp_exit_codes(self, capsys):

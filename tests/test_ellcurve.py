@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacpairs import ellcurve
 from jacpairs.ellcurve import (
     AffinePoint,
     WeierstrassModel,
@@ -44,6 +45,26 @@ class TestSplitCriterion:
         assert rep["pass"]
         # p^3 - p^2 of the monic cubics over F_p are squarefree
         assert rep["separable_cubics"] == p**3 - p**2
+
+    def test_non_square_discriminant_fails_the_scan(self, monkeypatch):
+        # 3 is a non-residue mod 7: every square disc turns non-square and
+        # back, so the cubics with 0 or 3 roots and those with 1 all fail
+        real = ellcurve.cubic_discriminant
+        monkeypatch.setattr(
+            ellcurve, "cubic_discriminant", lambda R, *cs: R.mul(R.from_int(3), real(R, *cs))
+        )
+        rep = exhaustive_split_scan(7)
+        assert rep["pass"] is False
+        assert rep["inconsistent"] == rep["separable_cubics"] == 294
+
+    def test_root_count_two_is_inconsistent(self, monkeypatch):
+        # no separable cubic has exactly two roots; a table that says so
+        # must fail the scan, not raise
+        monkeypatch.setattr(ellcurve, "_root_counts", lambda p, a, b: [2] * p)
+        rep = exhaustive_split_scan(7)
+        assert rep["pass"] is False
+        assert rep["inconsistent"] == 294
+        assert rep["root_counts"] == {0: 0, 1: 0, 3: 0, 2: 294}
 
     def test_single_case(self):
         F = GF(13)

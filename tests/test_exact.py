@@ -358,6 +358,14 @@ class TestRoots:
         )
         assert {F.to_str(r) for r in roots(f)} == {"3", "10"}
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_roots_of_every_monic_cubic(self, p):
+        # brute-force oracle over every monic cubic, separable or not
+        F = GF(p)
+        for a, b, c in itertools.product(range(p), repeat=3):
+            f = Poly.from_ints(F, [c, b, a, 1])
+            assert roots(f) == [r for r in range(p) if f.evaluate(r) == 0]
+
     def test_splitting_degrees(self):
         F = GF(7)
         x = Poly.gen(F)

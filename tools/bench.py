@@ -72,7 +72,7 @@ def _layer_cases():
     from math import lcm
 
     from jacpairs.distinct import charp_analysis
-    from jacpairs.ellcurve import odd_degree_point_search
+    from jacpairs.ellcurve import exhaustive_split_scan, odd_degree_point_search
     from jacpairs.exact.poly import Poly, primitive_part_int, resultant
     from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
     from jacpairs.exact.roots import (
@@ -189,6 +189,7 @@ def _layer_cases():
         "x0_table[uncached]": lambda: _x0_table.__wrapped__(),
         "curve_pair[deg4, every t in GF(23^2)]": lambda: [curve_pair(deg4, K23, t) for t in params_23],
         "family_identity_check[all four]": lambda: [family_identity_check(spec) for spec in specs],
+        "exhaustive_split_scan[11]": lambda: exhaustive_split_scan(11),
     }
 
 
