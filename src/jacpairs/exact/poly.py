@@ -14,6 +14,17 @@ arithmetic operators, which map them into the ring.
 Operator overloading is deliberate: family data and Table-1 entries are
 entered as literal formulas, e.g. ``(s + 16)**3``, which keeps the
 transcription honest.
+
+Products over GF(p) and ZZ, whose elements are plain ints, and long
+division over GF(p) run on ints with delayed reduction (von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 2 and 4): raw products and
+differences accumulate as ints, and over GF(p) each coefficient is taken
+``% p`` once, where it is read.  Reduction mod p is a ring homomorphism
+from Z onto F_p, so this gives the same canonical coefficients in [0, p) as
+``PrimeField``'s methods, which reduce after every step.  The ring alone
+picks the loop (``_int_modulus``).  GF(p^m), Q and Z[t] run on the ring's
+methods, and so does division over ZZ, whose quotient coefficients are
+exact divisions that must be able to fail.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from itertools import chain
 from math import gcd as int_gcd
 
 from .integers import is_prime
-from .rings import GF, ZZ, ring_pow
+from .rings import GF, ZZ, PrimeField, ring_pow
 
 
 class Poly:
@@ -117,6 +128,10 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product.  Over GF(p) and ZZ the coefficients are convolved as
+        plain ints and each output coefficient is taken mod p once (over ZZ
+        not at all), which gives the canonical coefficients the ring's own
+        ``mul`` and ``add`` give; every other ring runs on those methods."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -124,13 +139,23 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(R)
-        out = [R.zero] * (len(a) + len(b) - 1)
+        p = _int_modulus(R)
+        if p is None:
+            out = [R.zero] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if R.is_zero(ai):
+                    continue
+                for j, bj in enumerate(b):
+                    out[i + j] = R.add(out[i + j], R.mul(ai, bj))
+            return Poly(R, out)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if R.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = R.add(out[i + j], R.mul(ai, bj))
-        return Poly(R, out)
+            if ai:
+                k = i
+                for bj in b:
+                    out[k] += ai * bj
+                    k += 1
+        return Poly(R, [c % p for c in out] if p else out)
 
     __rmul__ = __mul__
 
@@ -214,6 +239,16 @@ class Poly:
         return "Poly<" + " + ".join(parts) + ">"
 
 
+def _int_modulus(R):
+    """p for GF(p) and 0 for ZZ, the rings whose products (and, for GF(p),
+    divisions) run on plain ints; None for every other ring.  A subclass of
+    ``PrimeField`` is not GF(p) here: it may override the arithmetic that the
+    int loops reproduce."""
+    if R is ZZ:
+        return 0
+    return R.p if type(R) is PrimeField else None
+
+
 class PolyRing:
     """The ring R[x] presented through the ring protocol, so Poly can be
     used as a coefficient ring for another Poly."""
@@ -289,9 +324,13 @@ def parity_split(f: Poly):
 def poly_divmod(a: Poly, b: Poly):
     """(q, r) with a = q b + r and deg r < deg b, by long division.
 
-    No coefficient is divided when lc(b) = 1; over a field lc(b) is
-    inverted once; over any other ring each quotient coefficient is the
-    exact division by lc(b), which raises ArithmeticError if it is not.
+    Over GF(p) the division runs on plain ints (``_divmod_mod_p``): lc(b)
+    is inverted once, the remainder entries stay unreduced, and each is taken
+    mod p once, where it is read; since q and r are unique, they are the ones
+    the ring's own methods give.  Over every other ring: no coefficient is
+    divided when lc(b) = 1; over a field lc(b) is inverted once; over any
+    other ring each quotient coefficient is the exact division by lc(b),
+    which raises ArithmeticError if it is not.
     A remainder of degree >= deg b, which only a ring whose arithmetic is
     broken leaves (the quotient coefficient times lc(b) failed to cancel a
     leading term), raises ArithmeticError too, so that no caller loops on it.
@@ -301,6 +340,43 @@ def poly_divmod(a: Poly, b: Poly):
         raise ZeroDivisionError("polynomial division by zero")
     if a.degree < b.degree:
         return Poly.zero(R), a
+    p = _int_modulus(R)
+    if p:
+        q, rem = _divmod_mod_p(a.coeffs, b.coeffs, p)
+    else:
+        q, rem = _divmod_ring(a, b)
+    r = Poly(R, rem)
+    if r.degree >= b.degree:
+        raise ArithmeticError(f"a leading term did not cancel in {R!r}: its arithmetic is broken")
+    return Poly(R, q), r
+
+
+def _divmod_mod_p(ac, bc, p):
+    """The quotient and remainder coefficient lists of ac by bc over GF(p),
+    for canonical ints with len(ac) >= len(bc): one ``pow`` inverts lc(b);
+    each step subtracts c x^i b from the unreduced remainder entries, and an
+    entry is taken mod p only where it is read: the top one of each step for
+    the quotient coefficient c, the deg b low ones at the end."""
+    db = len(bc) - 1
+    low = bc[:db]
+    inv_lc = pow(bc[-1], -1, p)
+    rem = list(ac)
+    q = [0] * (len(ac) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + db] * inv_lc % p
+        if c:
+            q[i] = c
+            k = i
+            for bj in low:
+                rem[k] -= c * bj
+                k += 1
+    return q, [c % p for c in rem[:db]]
+
+
+def _divmod_ring(a: Poly, b: Poly):
+    """The quotient and remainder coefficient lists of a by b, by the
+    ring's own methods (``poly_divmod`` over any ring but GF(p))."""
+    R = a.ring
     rem = list(a.coeffs)
     q = [R.zero] * (a.degree - b.degree + 1)
     blc = b.lc()
@@ -320,10 +396,7 @@ def poly_divmod(a: Poly, b: Poly):
         q[i] = factor
         for j, bj in enumerate(bc):
             rem[i + j] = R.sub(rem[i + j], R.mul(factor, bj))
-    r = Poly(R, rem)
-    if r.degree >= b.degree:
-        raise ArithmeticError(f"a leading term did not cancel in {R!r}: its arithmetic is broken")
-    return Poly(R, q), r
+    return q, rem
 
 
 def pseudo_rem(a: Poly, b: Poly):

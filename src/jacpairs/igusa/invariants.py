@@ -345,13 +345,16 @@ _R_FORMULAS = {
 def r_numerators(js, names) -> dict:
     """Numerators of the named weighted differences (any of R2, R3, R5, R23,
     R35, R25) from the polynomials (J2, J4, J6, J8, J10) in t, over the ring
-    the J's lie in; only the named ones are computed."""
+    the J's lie in; only the named ones are computed.  With
+    P = J_a^x J_b(-t)^y, the numerator P - P(-t) is 2 sum_{i odd} P_i t^i,
+    read off P's odd coefficients."""
     jp = dict(zip((1, 2, 3, 4, 5), js))
     out = {}
     for name in names:
         a, x, b, y = _R_FORMULAS[name]
         prod = jp[a] ** x * jp[b].substitute_neg() ** y
-        out[name] = prod - prod.substitute_neg()
+        R = prod.ring
+        out[name] = Poly(R, [R.add(c, c) if i % 2 else R.zero for i, c in enumerate(prod.coeffs)])
     return out
 
 

@@ -16,7 +16,9 @@ power; the Cantor-Zassenhaus norm power against that power, the linear
 Frobenius of GF(p^m) against the p-th power, the roots ``_one_root``
 finds against evaluation, and the closed-form GF(p^2) arithmetic against the
 generic GF(p^m) code; and the Sylvester determinant of even polynomials
-A(x^2), B(x^2) against the square of the resultant of A and B.
+A(x^2), B(x^2) against the square of the resultant of A and B; and
+products and long division over GF(3), GF(7919), GF(2^61 - 1) and Z, which
+run on plain ints, against ``Poly.evaluate`` at more points than the degree.
 ``derandomize=True`` draws the same inputs on every run."""
 import itertools
 from fractions import Fraction
@@ -493,6 +495,105 @@ def exact_divisions(draw):
 def test_division_by_a_non_unit_leading_coefficient(case):
     q, b, r = case
     assert poly_divmod(q * b + r, b) == (q, r)
+
+
+# the rings whose products and divisions run on plain ints; over
+# GF(2^61 - 1) one product of coefficients is already near 2^122
+INT_RINGS = [GF(3), GF(7919), GF(2**61 - 1), ZZ]
+_ZZ_TOP = 2**70  # the largest coefficient drawn over ZZ; over GF(p), p - 1
+
+
+@st.composite
+def int_ring_polys(draw, divisor=False):
+    """A ring from INT_RINGS and two polynomials over it with up to 13
+    coefficients each (none: the zero polynomial, one: a constant).  Each
+    is random over the whole range, random with zero, 1 and the top value
+    frequent (interior zeros), or every coefficient the top value, so that
+    over GF(p) the raw sums of a product or a division exceed p^2.  With
+    ``divisor`` the second has 1 to 7 coefficients and a nonzero leading
+    one, over ZZ +-1, so that it divides every polynomial."""
+    R = draw(st.sampled_from(INT_RINGS))
+    top = _ZZ_TOP if R is ZZ else R.p - 1
+    low = -top if R is ZZ else 0
+    wide = st.integers(low, top)
+    special = st.sampled_from([0, 0, 1, top, low])
+
+    def coeffs(most):
+        n = draw(st.integers(0, most))
+        kind = draw(st.sampled_from(["random", "special", "top"]))
+        if kind == "top":
+            return [top] * n
+        element = wide if kind == "random" else st.one_of(special, wide)
+        return draw(st.lists(element, min_size=n, max_size=n))
+
+    a = Poly(R, coeffs(13))
+    if not divisor:
+        return a, Poly(R, coeffs(13))
+    lead = draw(st.sampled_from([1, -1]) if R is ZZ else st.integers(1, top))
+    return a, Poly(R, coeffs(6) + [lead])
+
+
+def _points(R, n):
+    """n distinct points to evaluate polynomials over R at, with the ring
+    they lie in: over GF(3), elements of GF(3^6) (a nonzero polynomial of
+    degree below n has a root at fewer than n of them); otherwise 0, 1, ...,
+    n - 1 in R itself."""
+    if R == GF(3):
+        K = GFext(3, 6)
+        return K, list(itertools.islice(K.elements(), n))
+    return R, [R.from_int(k) for k in range(n)]
+
+
+def _values(f, K, points):
+    """f at each point by ``Poly.evaluate`` in K: Horner's rule on the
+    ring's own ``mul`` and ``add``, none of the int loops."""
+    if f.ring != K:
+        f = f.map_coeffs(K, K.from_base)
+    return [f.evaluate(x) for x in points]
+
+
+@PROPERTY
+@given(int_ring_polys())
+@example((Poly(GF(3), []), Poly(GF(3), [2, 2])))
+@example((Poly(GF(7919), [5]), Poly(GF(7919), [7918, 0, 0, 3])))
+@example((Poly(GF(2**61 - 1), [2**61 - 2] * 13), Poly(GF(2**61 - 1), [2**61 - 2] * 13)))
+@example((Poly(ZZ, [-_ZZ_TOP, 0, 0, _ZZ_TOP]), Poly(ZZ, [0, 1])))
+def test_int_ring_product_is_the_product_of_values(pair):
+    # a product of degree d agrees with a(x) b(x) at d + 1 distinct points
+    # only if it is a b
+    a, b = pair
+    R = a.ring
+    ab = a * b
+    assert _is_canonical(ab) and ab == b * a
+    if a.is_zero() or b.is_zero():
+        assert ab.is_zero()
+        return
+    assert ab.degree == a.degree + b.degree
+    K, points = _points(R, ab.degree + 1)
+    assert _values(ab, K, points) == [
+        K.mul(u, v) for u, v in zip(_values(a, K, points), _values(b, K, points))
+    ]
+
+
+@PROPERTY
+@given(int_ring_polys(divisor=True))
+@example((Poly(GF(3), [1, 2]), Poly(GF(3), [2])))
+@example((Poly(GF(7919), [7918] * 13), Poly(GF(7919), [7918] * 3)))
+@example((Poly(GF(2**61 - 1), [2**61 - 2] * 13), Poly(GF(2**61 - 1), [0, 0, 2**61 - 2])))
+@example((Poly(GF(7919), [1, 0, 0, 0, 0, 7918]), Poly(GF(7919), [3, 0, 7918])))
+@example((Poly(ZZ, [_ZZ_TOP] * 13), Poly(ZZ, [_ZZ_TOP, 0, -1])))
+def test_int_ring_division_is_checked_by_values(pair):
+    # a = q b + r at max(deg a, deg q b) + 1 distinct points makes it an
+    # identity, and q, r with deg r < deg b are unique
+    a, b = pair
+    R = a.ring
+    q, r = poly_divmod(a, b)
+    assert _is_canonical(q) and _is_canonical(r)
+    assert r.degree < b.degree
+    n = max(a.degree, q.degree + b.degree, 0) + 1
+    K, points = _points(R, n)
+    values = zip(*(_values(f, K, points) for f in (a, q, b, r)))
+    assert all(va == K.add(K.mul(vq, vb), vr) for va, vq, vb, vr in values)
 
 
 # (ring, degree of f): cubics, and even f = g(x^2) of degree 4, 6 and 8;

@@ -73,7 +73,7 @@ def _layer_cases():
 
     from jacpairs.distinct import charp_analysis
     from jacpairs.ellcurve import exhaustive_split_scan, odd_degree_point_search
-    from jacpairs.exact.poly import Poly, primitive_part_int, resultant
+    from jacpairs.exact.poly import Poly, gcd_field, poly_divmod, primitive_part_int, resultant
     from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
     from jacpairs.exact.roots import (
         distinct_degree_factorization,
@@ -157,6 +157,14 @@ def _layer_cases():
     # built after every input above: the four family specs
     specs = [family_spec(fid) for fid in FAMILY_IDS]
 
+    def gf_poly(deg):
+        return Poly(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+    # drawn after every input above: dense polynomials over F_7919
+    mul_a, mul_b = gf_poly(150), gf_poly(150)
+    div_a, div_b = gf_poly(300), gf_poly(150)
+    gcd_a, gcd_b = gf_poly(120), gf_poly(80)
+
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
         "ExtField.inv[7919^2]": lambda: K2.inv(a2),
@@ -190,6 +198,9 @@ def _layer_cases():
         "curve_pair[deg4, every t in GF(23^2)]": lambda: [curve_pair(deg4, K23, t) for t in params_23],
         "family_identity_check[all four]": lambda: [family_identity_check(spec) for spec in specs],
         "exhaustive_split_scan[11]": lambda: exhaustive_split_scan(11),
+        "Poly.__mul__[GF(7919), 150 x 150]": lambda: mul_a * mul_b,
+        "poly_divmod[GF(7919), 300 / 150]": lambda: poly_divmod(div_a, div_b),
+        "gcd_field[GF(7919), degree 120 and 80]": lambda: gcd_field(gcd_a, gcd_b),
     }
 
 
