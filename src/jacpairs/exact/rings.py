@@ -252,7 +252,9 @@ class ResidueRing:
     j*m, ..., j*m + m - 1.  ``mul`` forms the bivariate product in x and y,
     reduces it once by f and by M, and takes ``% p`` once per output entry;
     zero entries of the factors, of f and of M are skipped, so an f with
-    F_p coefficients or a sparse operand costs little.  ``frobenius`` is the
+    F_p coefficients or a sparse operand costs little.  Over F_p (m = 1) the
+    product is ``_poly_mulmod``, the one ``ExtField.mul`` takes, with f in
+    place of the field's modulus.  ``frobenius`` is the
     p-th power map
 
         Phi(sum a_j x^j) = sum sigma(a_j) (x^p mod f)^j,
@@ -335,6 +337,8 @@ class ResidueRing:
                     wide[k - m + l] -= c * v
 
     def mul(self, a, b):
+        if self.m == 1:  # self._f is then the tail of f, as _poly_mulmod takes it
+            return list(_poly_mulmod(a, b, self._f, self.p))
         pos = self._pos
         wide = [0] * ((2 * self.n - 1) * self._W)
         terms = [(pos[j], bj) for j, bj in enumerate(b) if bj]

@@ -7,8 +7,18 @@ Two independent constructions of h (the three-quadratic product and the
 kappa * prod(gamma_ij x^2 - 1) form) are computed and compared on every
 call.
 
+``glue_p10`` is the one-shot entry: it checks that f and g are monic cubics
+over one field and that each root triple consists of distinct roots whose
+linear factors multiply to its cubic, takes disc(f) and disc(g), and glues.
+The gluing itself, ``_glue_pairing``, depends on the pairing: A, B, the
+gammas, kappa, both forms of h, h1 = h2 and the separability of h.
+
 Also here: the end-to-end reconstruction check that re-derives a family's
-curve pair from its Weierstrass models over a finite field.
+curve pair from its Weierstrass models over a finite field.  It glues up to
+six pairings of the same two root lists, so it checks the root lists once
+per case and takes the discriminants from the models, which compute them
+to reject singular cubics; only ``_glue_pairing`` and the descent of h run
+per pairing.
 """
 from __future__ import annotations
 
@@ -88,11 +98,15 @@ def glue_p10(inp: GlueInput) -> GlueResult:
     for cub, label in ((f, "f"), (g, "g")):
         if cub.degree != 3 or not K.is_one(cub.lc()):
             raise GlueError(f"{label} must be a monic cubic")
-    a = inp.alphas
-    b = inp.betas
-    _check_roots(K, f, a, "alphas")
-    _check_roots(K, g, b, "betas")
+    _check_roots(K, f, inp.alphas, "alphas")
+    _check_roots(K, g, inp.betas, "betas")
+    return _glue_pairing(K, inp.alphas, inp.betas, discriminant(f), discriminant(g))
 
+
+def _glue_pairing(K, a, b, delta_f, delta_g) -> GlueResult:
+    """The gluing for one pairing of the root triples ``a`` of f and ``b`` of
+    g, already checked to be distinct roots of the cubics; ``delta_f`` and
+    ``delta_g`` are their discriminants over K."""
     da12, da23, da31 = K.sub(a[1], a[0]), K.sub(a[2], a[1]), K.sub(a[0], a[2])
     db12, db23, db31 = K.sub(b[1], b[0]), K.sub(b[2], b[1]), K.sub(b[0], b[2])
 
@@ -120,8 +134,6 @@ def glue_p10(inp: GlueInput) -> GlueResult:
     if K.is_zero(a1) or K.is_zero(b1):
         raise DegenerateConfigurationError("a1 or b1 vanished")
 
-    delta_f = discriminant(f)
-    delta_g = discriminant(g)
     A = K.div(K.mul(delta_g, a1), a2)
     B = K.div(K.mul(delta_f, b1), b2)
 
@@ -179,7 +191,14 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
     Frobenius-equivariant root pairing, and check that the geometric Igusa
     classes of the two family curves C_t, C_{-t} are exactly the classes
     produced (each by some pairing, and no pairing producing anything
-    else except the degenerate errors recorded per pairing)."""
+    else except the degenerate errors recorded per pairing).
+
+    Once per case: the root lists from ``splitting_field`` are checked to be
+    three distinct roots reproducing each cubic, and disc(f), disc(g) are
+    lifted to K from the models' ``disc``.  A root list that fails raises
+    ``GlueError`` out of this function: it is a fault of the root finder,
+    not of a pairing.  Per pairing: h1 = h2, the separability of h and its
+    descent to F_p; a failure there is recorded under the pairing."""
     if p <= 5:
         raise ValueError("p > 5 required")
     F = GF(p)
@@ -197,10 +216,13 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
     K, (rts_f, rts_g) = splitting_field(F, E.cubic, Ep.cubic)
     if len(rts_f) != 3 or len(rts_g) != 3:
         raise AssertionError("cubics must be separable")
+    # a permutation of the betas leaves their product unchanged
+    for cubic, rts, label in ((E.cubic, rts_f, "E"), (Ep.cubic, rts_g, "E'")):
+        _check_roots(K, cubic.map_coeffs(K, K.from_base), rts, f"roots of {label}")
+    delta_f, delta_g = K.from_base(E.disc), K.from_base(Ep.disc)
     frob_f = [rts_f.index(K.frobenius(r)) for r in rts_f]
     frob_g = [rts_g.index(K.frobenius(r)) for r in rts_g]
 
-    cf, cg = (c.map_coeffs(K, K.from_base) for c in (E.cubic, Ep.cubic))
     diagnostics = []
     for perm in sorted(permutations(range(3))):
         # Galois equivariance: pairing o frobenius_f = frobenius_g o pairing
@@ -208,9 +230,8 @@ def verify_reconstruction(spec: FamilySpec, p: int, t_value) -> dict:
             continue
         entry = {"pairing": perm}
         try:
-            res = glue_p10(
-                GlueInput(cf, cg, tuple(rts_f), tuple(rts_g[i] for i in perm))
-            )
+            betas = [rts_g[i] for i in perm]
+            res = _glue_pairing(K, rts_f, betas, delta_f, delta_g)
             # descent: equivariant pairing must give h over the base field
             h_base = _descend_poly(K, F, res.h)
         except GlueError as exc:

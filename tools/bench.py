@@ -74,7 +74,7 @@ def _layer_cases():
     from jacpairs.distinct import charp_analysis
     from jacpairs.ellcurve import exhaustive_split_scan, odd_degree_point_search
     from jacpairs.exact.poly import Poly, gcd_field, poly_divmod, primitive_part_int, resultant
-    from jacpairs.exact.rings import GF, ZZ, GFext, _default_modulus
+    from jacpairs.exact.rings import GF, ZZ, GFext, ResidueRing, _default_modulus
     from jacpairs.exact.roots import (
         distinct_degree_factorization,
         irreducible_factors,
@@ -164,6 +164,14 @@ def _layer_cases():
     mul_a, mul_b = gf_poly(150), gf_poly(150)
     div_a, div_b = gf_poly(300), gf_poly(150)
     gcd_a, gcd_b = gf_poly(120), gf_poly(80)
+    # drawn after every input above: two residues modulo the cubic over F_7919
+    R3 = ResidueRing(F, cubic.coeffs)
+    rr_a, rr_b = (R3.from_coeffs([rng.randrange(p) for _ in range(3)]) for _ in range(2))
+    # howe2 at p = 1009, t = 2: both cubics split over F_p and all six pairings glue
+    howe2 = family_spec("howe2")
+    split_rep = verify_reconstruction(howe2, 1009, 2)
+    if split_rep["graphsTried"] != 6 or any("error" in d for d in split_rep["diagnostics"]):
+        raise RuntimeError("howe2@1009:t=2 does not glue six pairings")
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -201,6 +209,8 @@ def _layer_cases():
         "Poly.__mul__[GF(7919), 150 x 150]": lambda: mul_a * mul_b,
         "poly_divmod[GF(7919), 300 / 150]": lambda: poly_divmod(div_a, div_b),
         "gcd_field[GF(7919), degree 120 and 80]": lambda: gcd_field(gcd_a, gcd_b),
+        "verify_reconstruction[howe2@1009:t=2]": lambda: verify_reconstruction(howe2, 1009, 2),
+        "ResidueRing.mul[F_7919, cubic modulus]": lambda: R3.mul(rr_a, rr_b),
     }
 
 
