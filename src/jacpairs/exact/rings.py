@@ -11,10 +11,14 @@ and ``ExtField`` builds GF(p^m) for m = 2 to 6 only, with coefficient
 tuples, so ``K.degree`` alone decides an element's shape.  A prime field
 answers ``from_base``, ``in_base`` and ``frobenius`` like ``ExtField``
 does, so code working in a splitting field need not ask which of the two it
-got.  The modulus of GF(p^m) is the first monic irreducible in a fixed
-order; irreducibility is decided by the same distinct-degree factorization
-the ``roots`` module uses.  ``GFext(p, 2)`` is a ``QuadraticExtField``: the
-same field, with its element arithmetic in closed form.
+got.  The default modulus of GF(p^m) is the first monic irreducible in a
+fixed order; irreducibility is decided by the same distinct-degree
+factorization the ``roots`` module uses.  ``GFext(p, m, modulus)`` takes a
+caller's monic irreducible instead (``roots.splitting_field`` builds its
+field from a factor of its input), checked by Rabin's test on the
+field's Frobenius; no search is made then.  ``GFext(p, 2)`` is a
+``QuadraticExtField``: the same field, with its element arithmetic in
+closed form.
 
 ``ResidueRing`` is not a coefficient ring of this kind: it is the kernel
 for K[x]/(f) on flat int lists that every power of the ``roots`` module is
@@ -475,17 +479,20 @@ def _default_modulus(p: int, m: int) -> tuple:
 
 
 class ExtField:
-    """F_{p^m} for m = 2 to 6: residues of F_p[x] mod a fixed monic
-    irreducible of degree m.  The degree-1 field is ``GF(p)``.
+    """F_{p^m} for m = 2 to 6: residues of F_p[y] mod a monic irreducible M
+    of degree m.  The degree-1 field is ``GF(p)``.
 
-    Elements are coefficient tuples of length m (low to high degree).
-    The modulus is chosen deterministically per (p, m), so representations
-    are reproducible across runs.
+    Elements are coefficient tuples of length m (low to high degree).  By
+    default M is ``_default_modulus(p, m)``, chosen deterministically per
+    (p, m), so representations are reproducible across runs.  A caller may
+    give M instead (``splitting_field`` gives a factor of its input, so that
+    y is a root of that factor); it is checked by Rabin's test, and the
+    field's name then shows it.
     """
 
     is_field = True
 
-    def __init__(self, p: int, m: int):
+    def __init__(self, p: int, m: int, modulus: tuple | None = None):
         if m == 1:
             raise ValueError(f"the degree-1 field is GF({p}), not an ExtField")
         if m < 1 or m > 6:
@@ -496,17 +503,45 @@ class ExtField:
         self.degree = m
         self.char = p
         self.order = p**m
-        self._use_modulus(_default_modulus(p, m))
+        self.name = f"GF({p}^{m})"
+        given = modulus is not None
+        if given:
+            modulus = tuple(modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
+                raise ValueError(f"{modulus} is not a monic degree-{m} modulus over GF({p})")
+            self.name += f" mod {modulus}"
+        self._use_modulus(modulus if given else _default_modulus(p, m))
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
         self.gen = (0, 1) + (0,) * (m - 2)
-        self.name = f"GF({p}^{m})"
         # rows (y^p)^i of the Frobenius as an F_p-linear map, y = self.gen
         rows = [self.one]
         yp = self.pow(self.gen, p)
         while len(rows) < m:
             rows.append(self.mul(rows[-1], yp))
         self._frobenius_rows = tuple(rows)
+        if given:
+            self._check_irreducible()
+
+    def _check_irreducible(self):
+        """Rabin's test on the modulus M, by the Frobenius rows: M is
+        irreducible iff Phi^m(y) = y and gcd(Phi^(m/q)(y) - y, M) = 1 for
+        every prime q | m (Rabin, Probabilistic algorithms in finite fields,
+        1980).  A product of distinct factors whose degrees divide m, such as
+        a split M, passes the first condition alone, so both are needed."""
+        from .poly import Poly, gcd_field  # poly imports this module
+
+        images = [self.gen]  # Phi^k(y) for k = 0, ..., m
+        for _ in range(self.m):
+            images.append(self.frobenius(images[-1]))
+        M = Poly(self.base, self.modulus)
+        y = Poly.gen(self.base)
+        if images[-1] != self.gen or any(
+            gcd_field(Poly(self.base, images[self.m // q]) - y, M).degree
+            for q in (2, 3, 5)
+            if self.m % q == 0
+        ):
+            raise ValueError(f"{self.modulus} is not irreducible over GF({self.p})")
 
     def _use_modulus(self, modulus):
         """Keep the modulus, and the pairs (j, c_j) of its nonzero lower
@@ -604,7 +639,9 @@ class QuadraticExtField(ExtField):
     For odd p some binomial x^2 + c is irreducible over F_p (every prime
     factor of 2 divides p - 1: Lidl-Niederreiter, Finite Fields, Thm 3.75), so
     ``_default_modulus(p, 2)``, which tries the binomials first, is always
-    y^2 + c_0, and d = -c_0 is a non-residue.  With a = a_0 + a_1 y:
+    y^2 + c_0, and d = -c_0 is a non-residue.  A caller's modulus must have
+    the same form (``splitting_field`` shifts its quadratic factor to it).
+    With a = a_0 + a_1 y:
 
         a * b  = (a_0 b_0 + d a_1 b_1) + (a_0 b_1 + a_1 b_0) y,
         a^-1   = (a_0 - a_1 y) / (a_0^2 - d a_1^2),
@@ -652,6 +689,7 @@ class QuadraticExtField(ExtField):
 
 
 @lru_cache(maxsize=None)
-def GFext(p: int, m: int) -> ExtField:
-    """F_{p^m}; at m = 2 the closed-form ``QuadraticExtField``."""
-    return (QuadraticExtField if m == 2 else ExtField)(p, m)
+def GFext(p: int, m: int, modulus: tuple | None = None) -> ExtField:
+    """F_{p^m}, modulo ``modulus`` if given (see ``ExtField``); at m = 2 the
+    closed-form ``QuadraticExtField``."""
+    return (QuadraticExtField if m == 2 else ExtField)(p, m, modulus)

@@ -11,7 +11,10 @@ is split into its irreducible factors.  One root of each factor is found by
 Cantor-Zassenhaus splitting in GF(p^m); the other roots are its images
 under x -> x^p.  ``roots`` takes the parts from gcd(x^(p^m) - x, f);
 ``splitting_field`` takes them from the squarefree and distinct-degree
-factorization that also gives it m.
+factorization that also gives it m.  When some irreducible factor M has
+degree m, ``splitting_field`` builds GF(p^m) from M itself: F_p[y]/(M) is
+that field and y is a root of M there, so no modulus is searched and M's
+root is read off instead of found.
 
 Every power is taken in one kernel, ``rings.ResidueRing``: residues modulo
 a monic f over K = F_p or GF(p^m), as flat lists of plain ints (one per
@@ -272,21 +275,30 @@ def _one_root(g: Poly, xp: Poly):
     return K.neg(g.coeff(0))
 
 
-def _roots_of_parts(K, parts):
-    """Sorted roots in K of the parts ``(d, g, xp)`` of a polynomial over
-    F_p, each d dividing the degree of K and xp = x^p mod g (unused when
-    d = 1): g is split over F_p, and each of its irreducible factors gives
-    one root in K and that root's Frobenius orbit."""
+def _irreducibles(parts):
+    """(d, irr, xp) for each irreducible factor irr over F_p of the parts
+    (d, g, xp) of a polynomial, xp = x^p mod g."""
+    return [(d, irr, xp) for d, g, xp in parts for irr in equal_degree_factorization(g, d, xp)]
+
+
+def _roots_of_factors(K, factors, known=None):
+    """Sorted roots in K of the irreducible factors ``(d, irr, xp)`` of a
+    polynomial over F_p, each d dividing the degree of K and xp = x^p modulo
+    a multiple of irr (unused when d = 1).  Each factor gives one root in K
+    and that root's Frobenius orbit.  The root is read off when d = 1, is r
+    when ``known`` is (irr, r), and is found by ``_one_root`` otherwise."""
     out = []
-    for d, g, xp in parts:
-        for irr in equal_degree_factorization(g, d, xp):
-            if d == 1:
-                out.append(K.from_base(-irr.coeff(0)))
-                continue
+    for d, irr, xp in factors:
+        if d == 1:
+            out.append(K.from_base(-irr.coeff(0)))
+            continue
+        if known is not None and irr == known[0]:
+            r = known[1]
+        else:
             r = _one_root(irr.map_coeffs(K, K.from_base), poly_divmod(xp, irr)[1])
-            for _ in range(d):
-                out.append(r)
-                r = K.frobenius(r)
+        for _ in range(d):
+            out.append(r)
+            r = K.frobenius(r)
     out.sort()
     return out
 
@@ -312,17 +324,46 @@ def roots(f: Poly, K=None):
         parts = distinct_degree_factorization(g)
     else:
         parts = [(1, g, poly_divmod(_poly(R, R.xp), g)[1])]
-    return _roots_of_parts(K, parts)
+    return _roots_of_factors(K, _irreducibles(parts))
+
+
+def _stem_field(M: Poly):
+    """K = F_p[y]/(M(y - c)) for a monic irreducible M over F_p of degree
+    m >= 2, with c = c_{m-1}/m (c = 0 when p | m), and the root y - c of M
+    in K.  K has p^m elements and y - c is a root of M there
+    (Lidl-Niederreiter, Finite Fields, Thm 2.14), so no modulus is searched
+    and no root is found by splitting.  The shift clears the y^(m-1)
+    coefficient, so at m = 2 the modulus is the binomial that
+    ``QuadraticExtField`` takes."""
+    F, m = M.ring, M.degree
+    c = F.div(M.coeff(m - 1), F.from_int(m)) if m % F.p else 0
+    y = Poly.gen(F)
+    shifted = Poly.zero(F)
+    for a in reversed(M.coeffs):  # Horner: M(y - c)
+        shifted = shifted * (y - c) + a
+    K = GFext(F.p, m, shifted.coeffs)
+    return K, K.sub(K.gen, K.from_base(c))
 
 
 def splitting_field(F, *polys):
     """The smallest extension K of the prime field F in which every one of
     ``polys`` (over F) splits, and the distinct roots of each in K, sorted:
     ``(K, [roots of each])``.  K is F itself when they all split over F.
-    Each polynomial is factored once, for both m and its roots."""
+    Each polynomial is factored once, for both m and its roots.
+
+    When m > 1 and some irreducible factor M has degree m, K is M's stem
+    field (``_stem_field``), so M's roots are y - c and its Frobenius images.
+    Every other factor of degree > 1 takes ``_one_root``.  When no factor
+    has degree m (a quadratic and a cubic, m = 6), K is ``GFext(p, m)``."""
     if not isinstance(F, PrimeField):
         raise TypeError("expected polynomials over a prime field")
-    parts = [[(d, g, xp) for d, g, xp, _ in _degree_parts(f)] for f in polys]
-    m = lcm(*(d for ps in parts for d, _, _ in ps))
-    K = F if m == 1 else GFext(F.p, m)
-    return K, [_roots_of_parts(K, ps) for ps in parts]
+    factors = [_irreducibles((d, g, xp) for d, g, xp, _ in _degree_parts(f)) for f in polys]
+    m = lcm(*(d for fs in factors for d, _, _ in fs))
+    M = next((irr for fs in factors for d, irr, _ in fs if d == m > 1), None)
+    known = None
+    if M is None:
+        K = F if m == 1 else GFext(F.p, m)
+    else:
+        K, root = _stem_field(M)
+        known = (M, root)
+    return K, [_roots_of_factors(K, fs, known) for fs in factors]

@@ -148,7 +148,8 @@ class TestCriterion6Reconstruction:
             done += 1
 
     # p = 2 mod 3 with the 2-torsion in GF(p^3), where no x^3 + c is
-    # irreducible: building the field must not walk the ~p binomials
+    # irreducible: the field is built from the irreducible cubic itself, so
+    # no modulus is searched at all
     @pytest.mark.parametrize("fid,p,t", [("deg3", 522719, 454676), ("deg7", 961397, 851341)])
     def test_large_prime_cubic_extension(self, fid, p, t):
         rep = verify_reconstruction(family_spec(fid), p, t)

@@ -127,6 +127,43 @@ class TestRings:
             for n in (0, 1, 2, 39, 40, 41):
                 assert ring_pow(ZZ, a, n) == a**n
 
+    @pytest.mark.parametrize(
+        "modulus",
+        [(6, 1, 6, 1), (1, 4, 1, 1)],
+        ids=["(x-1)(x^2+1)", "(x-1)(x-2)(x-3)"],
+    )
+    def test_a_reducible_modulus_raises(self, modulus):
+        # the split one passes Phi^3(y) = y: only the gcd step rejects it
+        with pytest.raises(ValueError, match="not irreducible over GF\\(7\\)"):
+            GFext(7, 3, modulus)
+
+    def test_a_modulus_of_the_wrong_shape_raises(self):
+        for modulus in ((5, 0, 0, 2), (5, 0, 1), (12, 0, 0, 1)):
+            with pytest.raises(ValueError, match="not a monic degree-3 modulus"):
+                ExtField(7, 3, modulus)
+        with pytest.raises(ValueError, match="needs a modulus y\\^2"):
+            GFext(7, 2, (3, 1, 1))
+
+    @pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (5, 4), (3, 5), (3, 6)])
+    def test_rabin_test_agrees_with_the_factorization(self, p, m):
+        for n in range(p**m):
+            modulus = rings._digits(n, p, m) + (1,)
+            try:
+                ExtField(p, m, modulus)
+                built = True
+            except ValueError as exc:
+                assert "not irreducible" in str(exc)
+                built = False
+            assert built == rings._is_irreducible(modulus, p), modulus
+
+    def test_a_given_modulus_shows_in_the_name(self):
+        K = GFext(7, 3, (5, 0, 0, 1))
+        assert repr(K) == "GF(7^3) mod (5, 0, 0, 1)"
+        assert repr(GFext(7, 3)) == "GF(7^3)"
+        assert K != GFext(7, 3)
+        default = GFext(7, 3).modulus
+        assert GFext(7, 3, default) == GFext(7, 3)
+
     def test_frobenius_fixes_base(self):
         K = GFext(7, 3)
         for k in range(7):
@@ -392,7 +429,44 @@ class TestRoots:
         assert len(q) == 2 and len(c) == 3
         assert q == roots(quadratic, K) and c == roots(cubic, K)
         assert splitting_field(F, quadratic)[0] == GFext(7, 2)
-        assert splitting_field(F, cubic)[0] == GFext(7, 3)
+        # the cubic's own field: F_7[y]/(y^3 - 2), with y a root
+        K3, (c3,) = splitting_field(F, cubic)
+        assert K3.modulus == (5, 0, 0, 1)
+        assert c3 == roots(cubic, K3)
+
+    def test_splitting_field_of_a_quadratic_is_shifted_to_a_binomial(self):
+        # x^2 + x + 3 at x = y - 4 (4 = 1/2 mod 7) is y^2 + 1, with roots
+        # y - 4 and its conjugate -y - 4
+        F = GF(7)
+        x = Poly.gen(F)
+        K, (rts,) = splitting_field(F, x**2 + x + 3)
+        assert isinstance(K, rings.QuadraticExtField)
+        assert K.modulus == (1, 0, 1)
+        assert rts == [(3, 1), (3, 6)]
+
+    def test_splitting_field_builds_no_searched_modulus(self, monkeypatch):
+        # x^3 - 2 gives the field and its roots; x^3 - 3 is irreducible too
+        # and takes the one root found by splitting
+        F = GF(7)
+        x = Poly.gen(F)
+        f, g = x**3 - 2, x**3 - 3
+
+        def no_search(p, m):
+            raise AssertionError(f"searched a modulus of GF({p}^{m})")
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _one_root(*args)
+
+        monkeypatch.setattr(rings, "_default_modulus", no_search)
+        monkeypatch.setattr("jacpairs.exact.roots._one_root", counting)
+        K, (rf, rg) = splitting_field(F, f, g)
+        assert K.modulus == (5, 0, 0, 1)
+        assert len(calls) == 1
+        assert rf == roots(f, K) and rg == roots(g, K)
+        assert len(rf) == len(rg) == 3
 
     def test_splitting_field_of_split_polynomials_is_the_base(self):
         F = GF(7)

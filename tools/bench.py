@@ -79,6 +79,7 @@ def _layer_cases():
         distinct_degree_factorization,
         irreducible_factors,
         roots,
+        splitting_degrees,
         splitting_field,
     )
     from jacpairs.families import (
@@ -172,6 +173,19 @@ def _layer_cases():
     split_rep = verify_reconstruction(howe2, 1009, 2)
     if split_rep["graphsTried"] != 6 or any("error" in d for d in split_rep["diagnostics"]):
         raise RuntimeError("howe2@1009:t=2 does not glue six pairings")
+    # built after every input above: the two 2-torsion cubics of deg3 at
+    # p = 522719, t = 454676, both irreducible (m = 3, p = 2 mod 3)
+    P = GF(522719)
+    s_big = eval_poly(deg3.s_of_t, P, P.from_int(454676))
+    big_cubics = [weierstrass_at(deg3, P, s_big, prime=prime).cubic for prime in (False, True)]
+
+    def splitting_field_cold():
+        GFext.cache_clear()
+        _default_modulus.cache_clear()
+        return splitting_field(P, *big_cubics)
+
+    if any(splitting_degrees(f) != [3] for f in big_cubics):
+        raise RuntimeError("a cubic of deg3@522719:t=454676 is not irreducible")
 
     return {
         "ExtField.mul[7919^2]": lambda: K2.mul(a2, b2),
@@ -211,6 +225,7 @@ def _layer_cases():
         "gcd_field[GF(7919), degree 120 and 80]": lambda: gcd_field(gcd_a, gcd_b),
         "verify_reconstruction[howe2@1009:t=2]": lambda: verify_reconstruction(howe2, 1009, 2),
         "ResidueRing.mul[F_7919, cubic modulus]": lambda: R3.mul(rr_a, rr_b),
+        "splitting_field[deg3@522719 cubic pair, cold]": splitting_field_cold,
     }
 
 
