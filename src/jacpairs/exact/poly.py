@@ -234,7 +234,7 @@ class Poly:
             c = self.coeff(i)
             if R.is_zero(c):
                 continue
-            cs = R.to_str(c) if hasattr(R, "to_str") else str(c)
+            cs = R.to_str(c)
             parts.append(f"({cs})*x^{i}" if i else f"({cs})")
         return "Poly<" + " + ".join(parts) + ">"
 

@@ -12,11 +12,11 @@ tuples, so ``K.degree`` alone decides an element's shape.  A prime field
 answers ``from_base``, ``in_base`` and ``frobenius`` like ``ExtField``
 does, so code working in a splitting field need not ask which of the two it
 got.  The default modulus of GF(p^m) is the first monic irreducible in a
-fixed order; irreducibility is decided by the same distinct-degree
-factorization the ``roots`` module uses.  ``GFext(p, m, modulus)`` takes a
-caller's monic irreducible instead (``roots.splitting_field`` builds its
-field from a factor of its input), checked by Rabin's test on the
-field's Frobenius; no search is made then.  ``GFext(p, 2)`` is a
+fixed order.  ``GFext(p, m, modulus)`` takes a caller's monic irreducible
+instead (``roots.splitting_field`` builds its field from a factor of its
+input), and no search is made then.  Both decide irreducibility by one
+test, ``_is_irreducible``: Rabin's test on the p-th power map of
+F_p[x]/(M), a ``ResidueRing``.  ``GFext(p, 2)`` is a
 ``QuadraticExtField``: the same field, with its element arithmetic in
 closed form.
 
@@ -370,13 +370,14 @@ class ResidueRing:
         return a
 
     def _frobenius_columns(self):
-        K, m = self.K, self.m
-        sigma = K._frobenius_rows if m > 1 else (K.one,)
+        # sigma(y^0) = 1, so each x^(jp) is its own first row
+        sigma = self.K._frobenius_rows[1:] if self.m > 1 else ()
         rows = []
         power = self.one  # x^(jp) mod f
         for j in range(self.n):
             if j:
                 power = self.mul(power, self.xp)
+            rows.append(power)
             rows.extend(self.mul(self.from_coeffs([s]), power) for s in sigma)
         return list(zip(*rows))
 
@@ -441,13 +442,30 @@ def _digits(n, p, m):
     return tuple(out)
 
 
-def _is_irreducible(coeffs, p):
-    """Irreducibility of a monic polynomial (coefficient tuple, low-to-high)
-    over F_p: its distinct-degree factorization is one factor of degree m."""
-    from .poly import Poly  # poly and roots import this module
-    from .roots import splitting_degrees
+def _is_irreducible(coeffs, p, xp=None):
+    """Irreducibility of a monic polynomial M of degree m >= 1 (coefficient
+    tuple, low to high) over F_p, by Rabin's test: M is irreducible iff
+    Phi^m(x) = x and gcd(Phi^(m/q)(x) - x, M) = 1 for every prime q | m,
+    with Phi the p-th power map of F_p[x]/(M) (Rabin, Probabilistic
+    algorithms in finite fields, 1980).  A product of distinct factors whose
+    degrees divide m, such as a split M, passes the first condition alone,
+    so both are needed.  ``xp``: x^p mod M, if the caller has it."""
+    from .poly import Poly, gcd_field  # poly imports this module
 
-    return splitting_degrees(Poly(GF(p), coeffs)) == [len(coeffs) - 1]
+    m = len(coeffs) - 1
+    R = ResidueRing(GF(p), coeffs, xp)
+    images = [R.x]  # Phi^k(x) for k = 0, ..., m
+    for _ in range(m):
+        images.append(R.frobenius(images[-1]))
+    if images[m] != R.x:
+        return False
+    M = Poly(R.K, coeffs)
+    x = Poly.gen(R.K)
+    return not any(
+        gcd_field(Poly(R.K, images[m // q]) - x, M).degree
+        for q in range(2, m + 1)
+        if m % q == 0 and is_prime(q)
+    )
 
 
 def _has_irreducible_binomial(p: int, m: int) -> bool:
@@ -466,10 +484,11 @@ def _default_modulus(p: int, m: int) -> tuple:
     (c_0, c_1, ..., c_{m-1}) read as digits with c_0 least significant.
     Deterministic so that every run builds the same F_{p^m}.
 
-    The first p candidates are the binomials x^m + c.  When none of them
-    can be irreducible (`_has_irreducible_binomial`), the walk starts at
-    x^m + x instead: the result is the same, without ~p irreducibility
-    tests."""
+    Each candidate takes ``_is_irreducible``, the test a caller's modulus
+    takes too.  The first p candidates are the binomials x^m + c.  When
+    none of them can be irreducible (`_has_irreducible_binomial`), the walk
+    starts at x^m + x instead: the result is the same, without ~p
+    irreducibility tests."""
     start = 0 if _has_irreducible_binomial(p, m) else p
     for n in range(start, p**m):
         cand = _digits(n, p, m) + (1,)
@@ -486,8 +505,9 @@ class ExtField:
     default M is ``_default_modulus(p, m)``, chosen deterministically per
     (p, m), so representations are reproducible across runs.  A caller may
     give M instead (``splitting_field`` gives a factor of its input, so that
-    y is a root of that factor); it is checked by Rabin's test, and the
-    field's name then shows it.
+    y is a root of that factor); it takes the test the default walk takes,
+    ``_is_irreducible``, with x^p = y^p from the field's Frobenius rows, and
+    the field's name then shows it.
     """
 
     is_field = True
@@ -520,28 +540,8 @@ class ExtField:
         while len(rows) < m:
             rows.append(self.mul(rows[-1], yp))
         self._frobenius_rows = tuple(rows)
-        if given:
-            self._check_irreducible()
-
-    def _check_irreducible(self):
-        """Rabin's test on the modulus M, by the Frobenius rows: M is
-        irreducible iff Phi^m(y) = y and gcd(Phi^(m/q)(y) - y, M) = 1 for
-        every prime q | m (Rabin, Probabilistic algorithms in finite fields,
-        1980).  A product of distinct factors whose degrees divide m, such as
-        a split M, passes the first condition alone, so both are needed."""
-        from .poly import Poly, gcd_field  # poly imports this module
-
-        images = [self.gen]  # Phi^k(y) for k = 0, ..., m
-        for _ in range(self.m):
-            images.append(self.frobenius(images[-1]))
-        M = Poly(self.base, self.modulus)
-        y = Poly.gen(self.base)
-        if images[-1] != self.gen or any(
-            gcd_field(Poly(self.base, images[self.m // q]) - y, M).degree
-            for q in (2, 3, 5)
-            if self.m % q == 0
-        ):
-            raise ValueError(f"{self.modulus} is not irreducible over GF({self.p})")
+        if given and not _is_irreducible(modulus, p, rows[1]):
+            raise ValueError(f"{modulus} is not irreducible over GF({p})")
 
     def _use_modulus(self, modulus):
         """Keep the modulus, and the pairs (j, c_j) of its nonzero lower

@@ -337,10 +337,7 @@ def _stem_field(M: Poly):
     ``QuadraticExtField`` takes."""
     F, m = M.ring, M.degree
     c = F.div(M.coeff(m - 1), F.from_int(m)) if m % F.p else 0
-    y = Poly.gen(F)
-    shifted = Poly.zero(F)
-    for a in reversed(M.coeffs):  # Horner: M(y - c)
-        shifted = shifted * (y - c) + a
+    shifted = M.evaluate(Poly.gen(F) - c)
     K = GFext(F.p, m, shifted.coeffs)
     return K, K.sub(K.gen, K.from_base(c))
 

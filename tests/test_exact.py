@@ -146,6 +146,7 @@ class TestRings:
 
     @pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (5, 4), (3, 5), (3, 6)])
     def test_rabin_test_agrees_with_the_factorization(self, p, m):
+        # the oracle is the distinct-degree factorization, not Rabin's test
         for n in range(p**m):
             modulus = rings._digits(n, p, m) + (1,)
             try:
@@ -154,7 +155,7 @@ class TestRings:
             except ValueError as exc:
                 assert "not irreducible" in str(exc)
                 built = False
-            assert built == rings._is_irreducible(modulus, p), modulus
+            assert built == (splitting_degrees(Poly(GF(p), modulus)) == [m]), modulus
 
     def test_a_given_modulus_shows_in_the_name(self):
         K = GFext(7, 3, (5, 0, 0, 1))
@@ -208,6 +209,13 @@ class TestModulusSearch:
                     for c in range(1, p)
                 )
                 assert rings._has_irreducible_binomial(p, m) == exists, (p, m)
+
+    def test_default_modulus_factors_as_one_factor(self):
+        # the factorization is an oracle independent of Rabin's test
+        for p in SMALL_PRIMES:
+            for m in range(2, 7):
+                modulus = rings._default_modulus(p, m)
+                assert splitting_degrees(Poly(GF(p), modulus)) == [m], (p, m)
 
     @pytest.mark.parametrize(
         "p,m,modulus",

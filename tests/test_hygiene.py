@@ -163,6 +163,19 @@ def test_only_the_benchmark_reaches_kernels():
     assert not offenders, f"modules importing jacpairs.kernels: {offenders}"
 
 
+def test_rings_does_not_import_roots():
+    """``roots`` builds on ``rings``; ``rings`` decides irreducibility by its
+    own test, so no import in it, at module level or in a function, names
+    ``roots``."""
+    path = PACKAGE / "exact" / "rings.py"
+    offenders = sorted(
+        module
+        for module in _imported_modules(path, ast.parse(path.read_text()))
+        if "roots" in module.split(".")
+    )
+    assert not offenders, f"exact/rings.py imports {offenders}"
+
+
 def test_import_keeps_interpreter_state():
     """Importing every package module leaves the recursion limit, the
     int<->str conversion limit and the warning filters as they were; only
