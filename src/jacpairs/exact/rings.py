@@ -17,8 +17,8 @@ instead (``roots.splitting_field`` builds its field from a factor of its
 input), and no search is made then.  Both decide irreducibility by one
 test, ``_is_irreducible``: Rabin's test on the p-th power map of
 F_p[x]/(M), a ``ResidueRing``.  ``GFext(p, 2)`` is a
-``QuadraticExtField``: the same field, with its element arithmetic in
-closed form.
+``QuadraticExtField`` and ``GFext(p, 3)`` a ``CubicExtField``: the same
+field, with its element arithmetic in closed form.
 
 ``ResidueRing`` is not a coefficient ring of this kind: it is the kernel
 for K[x]/(f) on flat int lists that every power of the ``roots`` module is
@@ -507,7 +507,9 @@ class ExtField:
     give M instead (``splitting_field`` gives a factor of its input, so that
     y is a root of that factor); it takes the test the default walk takes,
     ``_is_irreducible``, with x^p = y^p from the field's Frobenius rows, and
-    the field's name then shows it.
+    the field's name then shows it.  ``QuadraticExtField`` (m = 2) and
+    ``CubicExtField`` (m = 3) are this field with closed-form element
+    arithmetic; ``GFext`` returns them.
     """
 
     is_field = True
@@ -688,8 +690,76 @@ class QuadraticExtField(ExtField):
         return (a0 * n % p, -a1 * n % p)
 
 
+class CubicExtField(ExtField):
+    """F_{p^3} = F_p[y]/(M), M = y^3 + c_2 y^2 + c_1 y + c_0, with its
+    arithmetic in closed form for any monic irreducible cubic M.
+
+    Write y^3 = e_2 y^2 + e_1 y + e_0 with e_j = -c_j.  ``mul`` forms the
+    nine products of a_0 + a_1 y + a_2 y^2 and b, folds the y^4 term by
+    y^4 = e_2 y^3 + e_1 y^2 + e_0 y and then the y^3 term, and takes ``% p``
+    once per output entry.  ``inv`` solves a * x = 1 as a linear system:
+    with the columns a, a y, a y^2 of the multiply-by-a matrix, x is the
+    first column of its adjugate over its determinant, the norm of a, which
+    is zero only at a = 0.  The modulus, the element tuples and every method
+    not written here are ``ExtField``'s, and these reduce by the same
+    modulus, so each value equals the generic one; only the cost per
+    operation differs.  The default moduli have c_2 = 0, and so do
+    ``roots._stem_field``'s except at p = 3, where no shift clears c_2; a
+    caller's c_2 is taken as it is.
+    """
+
+    def _use_modulus(self, modulus):
+        super()._use_modulus(modulus)
+        p = self.p
+        self._e = (-modulus[0] % p, -modulus[1] % p, -modulus[2] % p)
+
+    def add(self, a, b):
+        p = self.p
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2]) % p)
+
+    def sub(self, a, b):
+        p = self.p
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p, (a[2] - b[2]) % p)
+
+    def neg(self, a):
+        p = self.p
+        return (-a[0] % p, -a[1] % p, -a[2] % p)
+
+    def mul(self, a, b):
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        e0, e1, e2 = self._e
+        p = self.p
+        t4 = a2 * b2
+        t3 = a1 * b2 + a2 * b1 + e2 * t4  # the y^3 coefficient, y^4 folded
+        return (
+            (a0 * b0 + e0 * t3) % p,
+            (a0 * b1 + a1 * b0 + e0 * t4 + e1 * t3) % p,
+            (a0 * b2 + a1 * b1 + a2 * b0 + e1 * t4 + e2 * t3) % p,
+        )
+
+    def inv(self, a):
+        """a^-1 as the adjugate of the multiply-by-a matrix over its
+        determinant."""
+        a0, a1, a2 = a
+        e0, e1, e2 = self._e
+        p = self.p
+        # a y and a y^2, each folded once by y^3 = e_2 y^2 + e_1 y + e_0
+        b0, b1, b2 = e0 * a2 % p, (a0 + e1 * a2) % p, (a1 + e2 * a2) % p
+        c0, c1, c2 = e0 * b2 % p, (b0 + e1 * b2) % p, (b1 + e2 * b2) % p
+        x0 = b1 * c2 - b2 * c1
+        x1 = a2 * c1 - a1 * c2
+        x2 = a1 * b2 - a2 * b1
+        det = (a0 * x0 + b0 * x1 + c0 * x2) % p
+        if not det:
+            raise ZeroDivisionError(f"inverse of 0 in {self.name}")
+        n = pow(det, -1, p)
+        return (x0 * n % p, x1 * n % p, x2 * n % p)
+
+
 @lru_cache(maxsize=None)
 def GFext(p: int, m: int, modulus: tuple | None = None) -> ExtField:
     """F_{p^m}, modulo ``modulus`` if given (see ``ExtField``); at m = 2 the
-    closed-form ``QuadraticExtField``."""
-    return (QuadraticExtField if m == 2 else ExtField)(p, m, modulus)
+    closed-form ``QuadraticExtField``, at m = 3 the closed-form
+    ``CubicExtField``."""
+    return {2: QuadraticExtField, 3: CubicExtField}.get(m, ExtField)(p, m, modulus)

@@ -334,7 +334,8 @@ def _stem_field(M: Poly):
     (Lidl-Niederreiter, Finite Fields, Thm 2.14), so no modulus is searched
     and no root is found by splitting.  The shift clears the y^(m-1)
     coefficient, so at m = 2 the modulus is the binomial that
-    ``QuadraticExtField`` takes."""
+    ``QuadraticExtField`` takes, and at m = 3 (p != 3) it is y^3 + c_1 y +
+    c_0, which ``CubicExtField`` takes like any other monic cubic."""
     F, m = M.ring, M.degree
     c = F.div(M.coeff(m - 1), F.from_int(m)) if m % F.p else 0
     shifted = M.evaluate(Poly.gen(F) - c)

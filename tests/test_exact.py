@@ -439,6 +439,7 @@ class TestRoots:
         assert splitting_field(F, quadratic)[0] == GFext(7, 2)
         # the cubic's own field: F_7[y]/(y^3 - 2), with y a root
         K3, (c3,) = splitting_field(F, cubic)
+        assert type(K3) is rings.CubicExtField
         assert K3.modulus == (5, 0, 0, 1)
         assert c3 == roots(cubic, K3)
 

@@ -14,8 +14,9 @@ over Z reduced mod p; products, powers and the linear Frobenius of the
 residue ring K[x]/(f) against ``Poly`` arithmetic and a square-and-multiply
 power; the Cantor-Zassenhaus norm power against that power, the linear
 Frobenius of GF(p^m) against the p-th power, the roots ``_one_root``
-finds against evaluation, and the closed-form GF(p^2) arithmetic against the
-generic GF(p^m) code; and the Sylvester determinant of even polynomials
+finds against evaluation, and the closed-form GF(p^2) and GF(p^3) arithmetic,
+the latter also modulo a cubic with a y^2 term, against the generic GF(p^m)
+code; and the Sylvester determinant of even polynomials
 A(x^2), B(x^2) against the square of the resultant of A and B; and
 products and long division over GF(3), GF(7919), GF(2^61 - 1) and Z, which
 run on plain ints, against ``Poly.evaluate`` at more points than the degree.
@@ -47,6 +48,7 @@ from jacpairs.exact.rings import (
     GF,
     QQ,
     ZZ,
+    CubicExtField,
     ExtField,
     GFext,
     QuadraticExtField,
@@ -362,9 +364,10 @@ def test_extension_field_ring_axioms(case):
     assert K.frobenius(K.mul(a, b)) == K.mul(K.frobenius(a), K.frobenius(b))
 
 
-def _assert_quadratic_is_generic(K, a, b):
-    """GF(p^2)'s closed forms against the generic code: ``_poly_mulmod``
-    folding by the modulus, ``_poly_invmod`` and the tuple formulas."""
+def _assert_closed_form_is_generic(K, a, b):
+    """GF(p^2)'s or GF(p^3)'s closed forms against the generic code:
+    ``_poly_mulmod`` folding by the modulus, ``_poly_invmod`` and the tuple
+    formulas."""
     p = K.p
     tail = [(j, c) for j, c in enumerate(K.modulus[:-1]) if c]
     assert K.mul(a, b) == _poly_mulmod(a, b, tail, p)
@@ -383,7 +386,7 @@ def test_quadratic_field_is_the_generic_code_on_every_pair(p):
     K = GFext(p, 2)
     assert type(K) is QuadraticExtField
     for a, b in itertools.product(K.elements(), repeat=2):
-        _assert_quadratic_is_generic(K, a, b)
+        _assert_closed_form_is_generic(K, a, b)
 
 
 @PROPERTY
@@ -392,7 +395,7 @@ def test_quadratic_field_is_the_generic_code_on_every_pair(p):
 @example([7918, 7918, 7918, 7918])
 def test_quadratic_field_is_the_generic_code(coords):
     K = GFext(7919, 2)
-    _assert_quadratic_is_generic(K, tuple(coords[:2]), tuple(coords[2:]))
+    _assert_closed_form_is_generic(K, tuple(coords[:2]), tuple(coords[2:]))
 
 
 def test_quadratic_modulus_is_a_binomial():
@@ -409,6 +412,42 @@ def test_quadratic_field_refuses_a_modulus_with_a_linear_term(monkeypatch):
     with pytest.raises(ValueError, match="needs a modulus"):
         QuadraticExtField(3, 2)
     assert ExtField(3, 2).modulus == (2, 1, 1)
+
+
+# (2, 0, 1, 1) is y^3 + y^2 + 2, irreducible over F_3 (no root) and with a
+# y^2 term, which the default moduli and the stem fields of p > 3 never have
+@pytest.mark.parametrize("p, modulus", [(3, None), (3, (2, 0, 1, 1)), (5, None)])
+def test_cubic_field_is_the_generic_code_on_every_pair(p, modulus):
+    K = GFext(p, 3, modulus)
+    assert type(K) is CubicExtField
+    assert K.modulus == (modulus or _default_modulus(p, 3))
+    for a, b in itertools.product(K.elements(), repeat=2):
+        _assert_closed_form_is_generic(K, a, b)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 7918), min_size=6, max_size=6))
+@example([0, 0, 0, 1, 2, 3])
+@example([0, 0, 1, 0, 0, 1])
+@example([7918] * 6)
+def test_cubic_field_is_the_generic_code(coords):
+    K = GFext(7919, 3)
+    _assert_closed_form_is_generic(K, tuple(coords[:3]), tuple(coords[3:]))
+
+
+def test_cubic_field_is_the_generic_field():
+    K, generic = GFext(7919, 3), ExtField(7919, 3)
+    assert type(K) is CubicExtField
+    assert K == generic and hash(K) == hash(generic)
+    assert K._frobenius_rows == generic._frobenius_rows
+    with pytest.raises(ZeroDivisionError, match=r"inverse of 0 in GF\(7919\^3\)"):
+        K.inv(K.zero)
+
+
+def test_cubic_field_refuses_a_reducible_modulus():
+    # y^3 + y + 1 has the root 1 over F_3
+    with pytest.raises(ValueError, match="not irreducible"):
+        GFext(3, 3, (1, 0, 1, 1))
 
 
 # small characteristics make cancellations of leading terms frequent

@@ -16,9 +16,12 @@ raw seconds * ``NOMINAL_GAUGE_S`` / the mean of those two gauges, so the
 host's drift between interpreters cancels as it does in ``bench/run.py``.
 
 End to end, each as a subprocess of the checkout: the last JSON line of
-``bench/run.py --workload all --seconds 12`` (gauged times), the median
-wall time of three ``jacpairs reproduce --all`` runs, and the wall time of
-one Tier-1 run with its pytest summary line.
+``bench/run.py --workload all --seconds 12`` (gauged times), the wall time
+of ``jacpairs reproduce --all``, and the wall time of one Tier-1 run with
+its pytest summary line.  ``reproduce --all`` runs 5 times per checkout,
+taking turns with the baseline's like the layers, each run gauged by
+``gauge_s`` taken in this interpreter just before and just after it; the
+record keeps the raw and the gauged median wall time.
 
 With ``--baseline`` that checkout is measured first, then the one holding
 this script, and the record holds both ("baseline", "checkout"): a speed
@@ -42,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BATCHES = 7
 MIN_BATCH_S = 0.005
 LAYER_ROUNDS = 3
+REPRODUCE_ROUNDS = 5
 BENCH_SECONDS = 12  # bench/run.py --seconds, per workload
 
 
@@ -229,19 +233,28 @@ def _layer_cases():
     }
 
 
-def _layers():
-    """name -> {"raw_s", "gauge_s", "gauged_s"} for each layer case."""
-    sys.path.insert(0, str(ROOT / "bench"))
+def _gauged(fn):
+    """Call fn, which returns (anything, seconds), between two gauges
+    (``bench/workload.gauge_s``), and return (anything, figures): the
+    seconds as "raw_s", the mean of the two gauges as "gauge_s" and
+    raw * NOMINAL_GAUGE_S / gauge as "gauged_s"."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
     from run import NOMINAL_GAUGE_S
     from workload import gauge_s
 
-    out = {}
-    for name, fn in _layer_cases().items():
-        before = gauge_s(time.perf_counter)
-        raw = _median_call_s(fn)
-        gauge = (before + gauge_s(time.perf_counter)) / 2
-        out[name] = {"raw_s": raw, "gauge_s": gauge, "gauged_s": raw * NOMINAL_GAUGE_S / gauge}
-    return out
+    before = gauge_s(time.perf_counter)
+    out, raw = fn()
+    gauge = (before + gauge_s(time.perf_counter)) / 2
+    return out, {"raw_s": raw, "gauge_s": gauge, "gauged_s": raw * NOMINAL_GAUGE_S / gauge}
+
+
+def _layers():
+    """name -> {"raw_s", "gauge_s", "gauged_s"} for each layer case."""
+    return {
+        name: _gauged(lambda: (None, _median_call_s(fn)))[1]
+        for name, fn in _layer_cases().items()
+    }
 
 
 def _run(cmd, root, **kw):
@@ -285,21 +298,35 @@ def _layer_rounds(roots: dict) -> dict:
     }
 
 
+def _reproduce_rounds(roots: dict) -> dict:
+    """label -> ``jacpairs reproduce --all`` over REPRODUCE_ROUNDS runs per
+    checkout, the checkouts taking turns, each run gauged in this
+    interpreter: exit codes, distinct stdout digests, and the median raw
+    and gauged wall time."""
+    cmd = [sys.executable, "-c", "from jacpairs.cli import main; main()", "reproduce", "--all"]
+    rounds = {label: [] for label in roots}
+    for _ in range(REPRODUCE_ROUNDS):
+        for label, root in roots.items():
+            rounds[label].append(_gauged(lambda: _run(cmd, root)))
+    return {
+        label: {
+            "exit": [proc.returncode for proc, _ in runs],
+            "stdout_sha256": sorted({hashlib.sha256(r.stdout.encode()).hexdigest() for r, _ in runs}),
+            "median_wall_s": statistics.median(t["raw_s"] for _, t in runs),
+            "gauged_median_wall_s": statistics.median(t["gauged_s"] for _, t in runs),
+        }
+        for label, runs in rounds.items()
+    }
+
+
 def _end_to_end(root: Path) -> dict:
     py = sys.executable
     cmd = [py, "bench/run.py", "--workload", "all", "--seed", "1", "--seconds", str(BENCH_SECONDS)]
     proc, bench_s = _run(cmd, root)
     bench = json.loads(_last_line(proc.stdout)) if proc.returncode in (0, 1) else None
-
-    reproduce = [py, "-c", "from jacpairs.cli import main; main()", "reproduce", "--all"]
-    runs = [_run(reproduce, root) for _ in range(3)]
     tier1, tier1_s = _run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider"], root)
     return {
         "bench_all": {"exit": proc.returncode, "wall_s": bench_s, "result": bench},
-        "reproduce_all": {
-            "exit": [r.returncode for r, _ in runs],
-            "median_wall_s": statistics.median(s for _, s in runs),
-        },
         "tier1": {"exit": tier1.returncode, "wall_s": tier1_s, "summary": _last_line(tier1.stdout)},
     }
 
@@ -330,12 +357,14 @@ def main(argv=None) -> int:
         "seconds_per_workload": BENCH_SECONDS,
     }
     layers = _layer_rounds(roots)
+    reproduce = _reproduce_rounds(roots)
     for label, root in roots.items():
         record[label] = {
             "src_sha256": _src_sha256(root),
             "layers_median_s": layers[label]["raw_s"],
             "layers_gauged_median_s": layers[label]["gauged_s"],
             "layers_gauge_median_s": layers[label]["gauge_s"],
+            "reproduce_all": reproduce[label],
             **_end_to_end(root),
         }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
